@@ -8,7 +8,9 @@ use std::time::{Duration, Instant};
 
 use dkvs::hash::FxHashMap;
 use dkvs::{ClusterMap, LockWord, SlotImage, SlotLayout, SlotRef, TableId};
-use rdma_sim::{EndpointId, FaultInjector, NodeId, QpStripe, QueuePair, RdmaResult, WorkId};
+use rdma_sim::{
+    EndpointId, FaultInjector, NodeId, QpStripe, QueuePair, RdmaError, RdmaResult, WorkId,
+};
 
 use crate::context::SharedContext;
 use crate::fd::{CoordinatorLease, FailureDetector};
@@ -235,22 +237,6 @@ impl Coordinator {
         }
     }
 
-    /// Finish a phase timer started with [`Coordinator::phase_start`]:
-    /// feeds the latency histogram and emits a flight span on the
-    /// coordinator's track, attributed to the current transaction.
-    #[inline]
-    pub(crate) fn phase_end(&self, phase: TxnPhase, t0: Option<Instant>) {
-        let Some(t0) = t0 else { return };
-        if let Some(stats) = &self.phase_stats {
-            stats.record(phase, t0.elapsed());
-        }
-        if let Some(f) = &self.flight {
-            if f.enabled() {
-                f.end_from_instant(phase.name(), self.current_txn_id(), t0, true);
-            }
-        }
-    }
-
     /// Record an already-measured phase duration.
     #[inline]
     pub(crate) fn record_phase(&self, phase: TxnPhase, d: Duration) {
@@ -362,10 +348,15 @@ impl Coordinator {
         self.qps[node.0 as usize].route(route)
     }
 
-    /// Per-QP posted-verb window (`<= 1` means the fan-out path is off).
+    /// Posted verbs a phase may keep in flight per QP. Zero when
+    /// posting is off (`pipeline_depth <= 1`): no lane ever has room,
+    /// so every verb takes its blocking path, one round trip at a time.
     #[inline]
-    pub(crate) fn pipeline_depth(&self) -> usize {
-        self.ctx.config.pipeline_depth.max(1) as usize
+    pub(crate) fn post_window(&self) -> usize {
+        match self.ctx.config.pipeline_depth {
+            0 | 1 => 0,
+            n => n as usize,
+        }
     }
 
     /// Is the posted-verb fan-out path active?
@@ -400,7 +391,7 @@ impl Coordinator {
         route_of: impl Fn(&I) -> (NodeId, u64),
         post: impl Fn(&QueuePair, &I, &mut Vec<WorkId>) -> RdmaResult<()>,
     ) -> Vec<FanoutOutcome> {
-        let depth = self.pipeline_depth();
+        let depth = self.post_window();
         let mut outcomes: Vec<FanoutOutcome> =
             items.iter().map(|_| FanoutOutcome { result: Ok(()), data: None }).collect();
         let mut tags: FxHashMap<(u16, u32, WorkId), usize> = FxHashMap::default();
@@ -498,6 +489,48 @@ impl Coordinator {
             }
         }
         self.ctx.flight_dump(reason);
+    }
+
+    /// Fail-stop a *live* coordinator that can neither finish nor undo
+    /// what it started: the FD then declares it failed and recovery
+    /// resolves its locks and logs. `site` names the fence on the
+    /// flight timeline.
+    pub(crate) fn self_fence(&self, site: &'static str) {
+        self.ctx.resilience.note_self_fence();
+        self.flight_fence(site);
+        self.injector.crash_now();
+    }
+
+    /// Release one lock word this coordinator owns, escalating through
+    /// the release-grade retry budget. A live coordinator that exhausts
+    /// even that budget self-fences: transient faults never leave a
+    /// live-owned stuck lock. Revocation and node death hand the lock's
+    /// fate to recovery without fencing (under revocation the
+    /// coordinator may still be alive and about to reincarnate).
+    pub(crate) fn release_lock_or_fence(&self, node: NodeId, addr: u64) {
+        match self.retry_release(|| self.qp(node).write_u64(addr, 0)) {
+            Ok(_) => {}
+            Err(RdmaError::Timeout { .. }) => self.self_fence("self-fence-unlock"),
+            // Crashed / AccessRevoked / NodeDead: recovery (or the dead
+            // node's absence) owns the lock word now.
+            Err(_) => {}
+        }
+    }
+
+    /// True if `lock` belongs to a coordinator in the failed-ids set
+    /// (PILL only): the lock is *stray* and may be treated as unlocked
+    /// for reads or stolen for writes (paper §3.1.2).
+    pub(crate) fn lock_is_stray(&self, lock: LockWord) -> bool {
+        self.ctx.config.pill_active() && lock.is_locked() && self.ctx.failed.contains(lock.owner())
+    }
+
+    /// Pad a client value to the table's slot value size.
+    pub(crate) fn pad_value(&self, table: TableId, value: &[u8]) -> Vec<u8> {
+        let layout = self.map().layout(table);
+        assert_eq!(value.len(), layout.value_len, "value length must match the table's value_len");
+        let mut v = value.to_vec();
+        v.resize(layout.value_padded(), 0);
+        v
     }
 
     /// CAS with ambiguity resolution (see [`retry::cas_resolved`]):
@@ -647,9 +680,14 @@ impl Coordinator {
         ))
     }
 
+    /// Byte address of a slot on `node`.
+    pub(crate) fn slot_base(&self, node: NodeId, slot: SlotRef) -> u64 {
+        self.map().slot_addr(node, slot.table, slot.bucket, slot.slot)
+    }
+
     /// Byte address of a slot's lock word on `node`.
     pub(crate) fn lock_addr(&self, node: NodeId, slot: SlotRef) -> u64 {
-        self.map().slot_addr(node, slot.table, slot.bucket, slot.slot) + SlotLayout::LOCK_OFF
+        self.slot_base(node, slot) + SlotLayout::LOCK_OFF
     }
 
     /// Mark this coordinator crashed (after a `TxnError::Crashed`): frees

@@ -45,6 +45,7 @@
 //! assert_eq!(balance, vec![0u8; 16]);
 //! ```
 
+pub(crate) mod commit;
 pub mod compute;
 pub mod config;
 pub mod context;

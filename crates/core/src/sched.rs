@@ -1,17 +1,17 @@
 //! # Interleaved multi-transaction coordinator scheduler
 //!
 //! One logical coordinator, up to `inflight_txns` independent commits in
-//! flight at once. The classic [`crate::txn::Txn`] engine runs one
-//! transaction to completion — every phase barrier stalls the whole
-//! coordinator for a fabric round trip even though the verbs of
-//! *different* transactions are completely independent. This module
-//! overlaps those stalls: each in-flight transaction is a [`SlotTxn`]
-//! with its own phase state machine (execute → validate → log → apply →
-//! flush → finalize), its verbs post asynchronously on the striped
-//! fabric, and a single event loop advances whichever slot's completion
-//! barrier has ripened. With K slots and round-trip-dominated phases the
-//! coordinator commits up to K transactions per phase-barrier latency
-//! instead of one.
+//! flight at once. A [`crate::txn::Txn`] runs one transaction to
+//! completion — every phase barrier stalls the whole coordinator for a
+//! fabric round trip even though the verbs of *different* transactions
+//! are completely independent. This module overlaps those stalls: each
+//! in-flight transaction is a [`SlotTxn`] — a declared operation list
+//! whose execute phase posts up front, plus the same `Commit`
+//! pipeline a `Txn` drives (validate → log → apply → flush → unlock) —
+//! and a single event loop polls every slot's posted verbs and settles
+//! whichever slot's phase has ripened. With K slots and
+//! round-trip-dominated phases the coordinator commits up to K
+//! transactions per phase-barrier latency instead of one.
 //!
 //! Isolation between sibling slots is the ordinary protocol: every slot
 //! locks with its own per-transaction [`dkvs::LockWord`] (see
@@ -23,8 +23,8 @@
 //! coordinator's log region, so recovery can enumerate and resolve every
 //! in-flight transaction of a dead coordinator independently (see
 //! `recovery.rs`). A transaction whose entry does not fit one lane
-//! cannot run interleaved; the scheduler drains and runs it solo through
-//! the classic engine with the full region.
+//! cannot run interleaved; the scheduler drains and runs it solo as a
+//! `Txn` with the full region.
 //!
 //! ## Correctness notes
 //!
@@ -32,18 +32,14 @@
 //!   `rdma-sim`): a posted lock CAS may have acquired its lock before
 //!   the slot ever processes the completion. [`resolve_posted_locks`]
 //!   therefore sweeps *every* posted CAS outcome into a definite
-//!   [`LockState`] before any abort decision, and `held` — not the
-//!   write-set — is the source of truth for abort-path lock release.
+//!   [`LockState`] before any abort decision, and the pipeline's `held`
+//!   list — not the write-set — is what the abort path releases.
 //! * Verbs that rely on RC ordering among themselves share a stripe
 //!   route (the slot base for object verbs, the lane base for log
-//!   verbs), exactly like the classic fan-out path.
-//! * The commit-ack point is after apply (+ flush under NVM) and before
-//!   unlock/truncate, mirroring `Txn::commit_inner`. Unlike the classic
-//!   engine, a committed slot *truncates its own log lane* during
-//!   finalize — lanes are a shared 8-entry budget, and a stale entry
-//!   would alias the next transaction scheduled onto the same lane. A
-//!   failed truncation is tolerated (the entry classifies as
-//!   fully-applied during recovery and rolls forward as a no-op).
+//!   verbs).
+//! * A committed slot *truncates its own log lane* while it unlocks —
+//!   lanes are a shared 8-entry budget (the pipeline's `shared_lanes`
+//!   setting; a `Txn` owns lane 0 alone and never truncates on commit).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,13 +47,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dkvs::{
-    entry_encoded_size, log_lane_offset, LockWord, LogEntry, SlotLayout, SlotRef, TableId,
-    UndoRecord, VersionWord, LOG_LANE_BYTES, TXN_LOG_LANES,
+    entry_encoded_size, LockWord, SlotLayout, SlotRef, TableId, LOG_LANE_BYTES, TXN_LOG_LANES,
 };
-use rdma_sim::{NodeId, RdmaError, RdmaResult, TimeoutApplied, WorkId};
+use rdma_sim::{NodeId, RdmaError, RdmaResult, TimeoutApplied};
 
+use crate::commit::{Commit, Pend, Phase};
 use crate::coordinator::{parse_full_slot, Coordinator, FullSlot};
-use crate::flight::FlightHandle;
+use crate::obs::TxnPhase;
 use crate::trace::TxnEvent;
 use crate::txn::{pad8, AbortReason, ReadEntry, TxnError, WriteEntry, WriteKind};
 
@@ -66,7 +62,7 @@ use crate::txn::{pad8, AbortReason, ReadEntry, TxnError, WriteEntry, WriteKind};
 pub type UpdateFn = Box<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 /// One operation of a scheduled transaction. The scheduler executes a
-/// *declared* operation list (unlike the classic closure-driven API):
+/// *declared* operation list (unlike the interactive [`crate::txn::Txn`] API):
 /// declaration is what lets it post the execution phase's verbs up
 /// front and interleave with sibling transactions.
 pub enum TxnOp {
@@ -213,18 +209,6 @@ impl SchedStats {
 // Slot internals
 // ---------------------------------------------------------------------
 
-/// Commit-pipeline position of a slot transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Execute,
-    Validate,
-    Log,
-    ApplyPrimaries,
-    ApplyBackups,
-    Flush,
-    Finalize,
-}
-
 /// Outcome of a posted lock CAS after [`resolve_posted_locks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LockState {
@@ -255,45 +239,15 @@ enum OpPlan {
     Done,
 }
 
-/// What a harvested completion belongs to.
+/// What a posted execute-phase verb's completion belongs to.
 #[derive(Debug, Clone, Copy)]
 enum Role {
-    /// Lock CAS of op `usize`.
-    Cas(usize),
-    /// Fused under-lock READ of op `usize`.
-    Img(usize),
-    /// Full-slot READ of read op `usize`.
-    Read(usize),
-    /// Item `usize` of the current phase's item list.
-    Item(usize),
-}
-
-/// An in-flight posted verb awaiting its completion.
-#[derive(Debug, Clone, Copy)]
-struct Pend {
-    node: NodeId,
-    lane: u32,
-    id: WorkId,
-    role: Role,
-}
-
-/// Per-item fan-out outcome for the barrier phases (validate / log /
-/// apply / flush / finalize). `posted` is set only when *all* of the
-/// item's verbs posted; a failed completion sets `failed`. Items that
-/// are not `posted && !failed` re-run through the blocking fallback.
-#[derive(Debug, Default)]
-struct ItemRes {
-    posted: bool,
-    failed: bool,
-    data: Option<Vec<u8>>,
-}
-
-/// One finalize-phase item: a lock release or a log-lane truncation.
-#[derive(Debug, Clone, Copy)]
-struct FinItem {
-    node: NodeId,
-    addr: u64,
-    unlock: bool,
+    /// Lock CAS of its op.
+    Cas,
+    /// Fused under-lock READ of its op.
+    Img,
+    /// Full-slot READ of its (read) op.
+    Read,
 }
 
 /// One in-flight interleaved transaction. The slot index doubles as the
@@ -301,36 +255,16 @@ struct FinItem {
 struct SlotTxn {
     /// Index into the request batch.
     req: usize,
-    txn_id: u64,
-    /// Log lane == slot index.
-    lane: u32,
-    /// This transaction's own lock word (per-seq, see
-    /// [`Coordinator::lock_for`]).
-    lock: LockWord,
-    flight: Option<FlightHandle>,
+    /// Read/write sets, held locks and the commit pipeline; its lock
+    /// word is this transaction's own (per-seq, see
+    /// [`Coordinator::lock_for`]), its log lane the slot index.
+    c: Commit,
     t0: Instant,
-    phase_t0: Instant,
-    phase: Phase,
     plan: Vec<OpPlan>,
-    pending: Vec<Pend>,
-    read_set: Vec<ReadEntry>,
-    write_set: Vec<WriteEntry>,
+    /// Posted execute-phase verbs (`Pend::item` is the op index).
+    exec_pending: Vec<(Pend, Role)>,
     reads_out: Vec<Option<Vec<u8>>>,
-    /// Locks this slot actually owns remotely (including eagerly-taken
-    /// posted CASes) — the abort path releases exactly these.
-    held: Vec<SlotRef>,
-    logged_nodes: Vec<NodeId>,
-    log_targets: Vec<(NodeId, u64, Vec<u8>)>,
-    apply_started: bool,
-    tier_primaries: Vec<(usize, NodeId)>,
-    tier_backups: Vec<(usize, NodeId)>,
-    landed: Vec<(usize, NodeId)>,
-    flush_points: Vec<(NodeId, u64)>,
-    fin: Vec<FinItem>,
-    /// Validation checks: (read-set index, primary).
-    checks: Vec<(usize, NodeId)>,
-    items: Vec<ItemRes>,
-    finished: bool,
+    /// Set at the commit-ack point or by the first error.
     result: Option<Result<TxnOutcome, TxnError>>,
 }
 
@@ -347,7 +281,8 @@ impl Coordinator {
     ///
     /// When the configuration does not support interleaving (see
     /// [`Coordinator::sched_supported`]) every request runs through the
-    /// classic engine sequentially — same results, no overlap.
+    /// blocking [`crate::txn::Txn`] driver, one at a time — same results, no
+    /// overlap.
     pub fn run_interleaved(&mut self, reqs: &[TxnRequest]) -> Vec<Result<TxnOutcome, TxnError>> {
         let mut results: Vec<Option<Result<TxnOutcome, TxnError>>> =
             (0..reqs.len()).map(|_| None).collect();
@@ -425,7 +360,7 @@ impl Coordinator {
             && !c.stall_on_conflict
     }
 
-    /// Run one request through the classic engine (the fallback for
+    /// Run one request as a [`crate::txn::Txn`] (the fallback for
     /// unsupported configurations and oversized transactions).
     fn run_classic(&mut self, req: &TxnRequest) -> Result<TxnOutcome, TxnError> {
         let mut reads = Vec::new();
@@ -476,8 +411,8 @@ impl Coordinator {
                     if oversized(self, &reqs[idx].ops) {
                         // A transaction whose undo entry exceeds one log
                         // lane cannot run interleaved: drain the active
-                        // slots, then run it solo through the classic
-                        // engine (full log region, classic recovery).
+                        // slots, then run it solo as a `Txn` (full log
+                        // region, single-lane recovery).
                         if slots.iter().any(Option::is_some) {
                             break;
                         }
@@ -513,29 +448,29 @@ impl Coordinator {
             for slot in slots.iter_mut() {
                 let Some(mut s) = slot.take() else { continue };
                 let mut j = 0;
-                while j < s.pending.len() {
-                    let p = s.pending[j];
-                    match self.stripe(p.node).lane(p.lane).try_take(p.id) {
+                while j < s.exec_pending.len() {
+                    let (p, role) = s.exec_pending[j];
+                    match p.try_take(self) {
                         Some(c) => {
-                            record_completion(&mut s, p.role, c);
-                            s.pending.swap_remove(j);
+                            record_execute(&mut s.plan[p.item], role, c);
+                            s.exec_pending.swap_remove(j);
                             progressed = true;
                         }
                         None => j += 1,
                     }
                 }
-                if s.pending.is_empty() && !s.finished {
-                    let req_ops = &reqs[s.req].ops;
-                    advance(self, &mut s, req_ops);
+                progressed |= s.c.poll(self);
+                if s.exec_pending.is_empty() && !s.c.in_flight() {
+                    let ops = &reqs[s.req].ops;
+                    advance(self, &mut s, ops);
                     progressed = true;
                 }
                 if matches!(s.result, Some(Err(TxnError::Crashed))) || self.injector.is_crashed() {
                     crashed = true;
                 }
-                if s.finished {
-                    let result =
-                        s.result.take().unwrap_or(Err(TxnError::Aborted(AbortReason::UserAbort)));
-                    finish_slot(self, &mut s, &result);
+                if s.c.done() || matches!(s.result, Some(Err(_))) {
+                    let result = s.result.take().expect("a finished slot has a result");
+                    finish_slot(self, &s, &result);
                     results[s.req] = Some(result);
                 } else {
                     *slot = Some(s);
@@ -555,13 +490,13 @@ impl Coordinator {
             // Power-cut semantics: no acks were delivered for anything
             // still in flight; locks, logs and partial applies stay in
             // place for recovery. A slot that already passed its
-            // commit-ack point keeps its Ok result (the classic engine
-            // behaves identically for post-ack crashes).
+            // commit-ack point keeps its Ok result (as a `Txn` does for
+            // post-ack crashes).
             for slot in slots.iter_mut() {
                 if let Some(mut s) = slot.take() {
-                    self.trace(TxnEvent::Crashed { txn_id: s.txn_id });
+                    self.trace(TxnEvent::Crashed { txn_id: s.c.txn_id });
                     let result = s.result.take().unwrap_or(Err(TxnError::Crashed));
-                    finish_slot(self, &mut s, &result);
+                    finish_slot(self, &s, &result);
                     results[s.req] = Some(result);
                 }
             }
@@ -576,13 +511,13 @@ impl Coordinator {
 
 /// Per-slot finish bookkeeping: gauges and the whole-transaction flight
 /// span on the slot's own track.
-fn finish_slot(co: &Coordinator, s: &mut SlotTxn, result: &Result<TxnOutcome, TxnError>) {
+fn finish_slot(co: &Coordinator, s: &SlotTxn, result: &Result<TxnOutcome, TxnError>) {
     if let Some(st) = &co.sched {
         st.note_finish(result);
     }
-    if let Some(f) = &s.flight {
+    if let Some(f) = &s.c.flight {
         if f.enabled() {
-            f.end_from_instant("txn", s.txn_id, s.t0, result.is_ok());
+            f.end_from_instant("txn", s.c.txn_id, s.t0, result.is_ok());
         }
     }
 }
@@ -617,33 +552,15 @@ fn admit(co: &mut Coordinator, req: usize, si: usize, ops: &[TxnOp]) -> SlotTxn 
         st.note_admit();
     }
     let flight = co.ctx.flight().map(|rec| rec.slot_handle(co.coord_id, si as u16));
-    let now = Instant::now();
+    let mut c = Commit::new(txn_id, si as u32, co.lock_for(seq), true, flight);
+    c.start_timer(co);
     let mut s = SlotTxn {
         req,
-        txn_id,
-        lane: si as u32,
-        lock: co.lock_for(seq),
-        flight,
-        t0: now,
-        phase_t0: now,
-        phase: Phase::Execute,
+        c,
+        t0: Instant::now(),
         plan: Vec::with_capacity(ops.len()),
-        pending: Vec::new(),
-        read_set: Vec::new(),
-        write_set: Vec::new(),
+        exec_pending: Vec::new(),
         reads_out: Vec::new(),
-        held: Vec::new(),
-        logged_nodes: Vec::new(),
-        log_targets: Vec::new(),
-        apply_started: false,
-        tier_primaries: Vec::new(),
-        tier_backups: Vec::new(),
-        landed: Vec::new(),
-        flush_points: Vec::new(),
-        fin: Vec::new(),
-        checks: Vec::new(),
-        items: Vec::new(),
-        finished: false,
         result: None,
     };
     post_execute(co, &mut s, ops);
@@ -651,14 +568,14 @@ fn admit(co: &mut Coordinator, req: usize, si: usize, ops: &[TxnOp]) -> SlotTxn 
 }
 
 /// Post the execution phase: for every address-cached op, the verbs
-/// that the classic engine would block on — a full-slot READ per read
+/// that a `Txn` would block on — a full-slot READ per read
 /// op, a lock CAS fused with an under-lock READ per (first) write op —
 /// post up front on the stripe lane the slot base routes to. Ops that
 /// miss the cache, repeat a key, or exceed the per-lane pipeline depth
-/// stay `Blocking` and run through the classic blocking ladders at
+/// stay `Blocking` and run through the blocking ladders at
 /// process time.
 fn post_execute(co: &mut Coordinator, s: &mut SlotTxn, ops: &[TxnOp]) {
-    let depth = co.pipeline_depth();
+    let depth = co.post_window();
     for (i, op) in ops.iter().enumerate() {
         let (table, key) = op.target();
         let touched_earlier = ops[..i].iter().any(|o| o.target() == (table, key));
@@ -695,7 +612,7 @@ fn post_read_op(
     let len = co.map().layout(sref.table).slot_bytes() as usize;
     match qp.post_read(base, len) {
         Ok(id) => {
-            s.pending.push(Pend { node, lane, id, role: Role::Read(i) });
+            s.exec_pending.push((Pend { node, lane, id, item: i }, Role::Read));
             OpPlan::ReadPosted { sref, res: None, data: None }
         }
         Err(_) => OpPlan::Blocking,
@@ -717,15 +634,15 @@ fn post_write_op(
     if qp.in_flight() >= depth {
         return OpPlan::Blocking;
     }
-    match qp.post_cas(base + SlotLayout::LOCK_OFF, 0, s.lock.raw()) {
+    match qp.post_cas(base + SlotLayout::LOCK_OFF, 0, s.c.lock.raw()) {
         Ok(cas_id) => {
-            s.pending.push(Pend { node, lane, id: cas_id, role: Role::Cas(i) });
+            s.exec_pending.push((Pend { node, lane, id: cas_id, item: i }, Role::Cas));
             // Fused under-lock READ riding the CAS's RC order (the
-            // classic `try_lock_read` image); losing it is harmless —
+            // `Txn::try_lock_read` image); losing it is harmless —
             // staging falls back to a blocking re-read.
             let len = co.map().layout(sref.table).slot_bytes() as usize;
             if let Ok(rid) = qp.post_read(base, len) {
-                s.pending.push(Pend { node, lane, id: rid, role: Role::Img(i) });
+                s.exec_pending.push((Pend { node, lane, id: rid, item: i }, Role::Img));
             }
             OpPlan::WritePosted { sref, node, cas: None, img: None, lock: LockState::Unresolved }
         }
@@ -733,253 +650,58 @@ fn post_write_op(
     }
 }
 
-/// Route a harvested completion into the slot's plan / item state.
-fn record_completion(s: &mut SlotTxn, role: Role, c: rdma_sim::Completion) {
-    match role {
-        Role::Cas(i) => {
-            if let OpPlan::WritePosted { cas, .. } = &mut s.plan[i] {
-                *cas = Some(c.result);
-            }
+/// Route a harvested execute-phase completion into its op's plan.
+fn record_execute(plan: &mut OpPlan, role: Role, c: rdma_sim::Completion) {
+    match (role, plan) {
+        (Role::Cas, OpPlan::WritePosted { cas, .. }) => *cas = Some(c.result),
+        (Role::Img, OpPlan::WritePosted { img, .. }) if c.result.is_ok() => *img = c.data,
+        (Role::Read, OpPlan::ReadPosted { res, data, .. }) => {
+            *res = Some(c.result);
+            *data = c.data;
         }
-        Role::Img(i) => {
-            if let OpPlan::WritePosted { img, .. } = &mut s.plan[i] {
-                if c.result.is_ok() {
-                    *img = c.data;
-                }
-            }
-        }
-        Role::Read(i) => {
-            if let OpPlan::ReadPosted { res, data, .. } = &mut s.plan[i] {
-                *res = Some(c.result);
-                *data = c.data;
-            }
-        }
-        Role::Item(k) => {
-            let it = &mut s.items[k];
-            match c.result {
-                Ok(_) => {
-                    if c.data.is_some() {
-                        it.data = c.data;
-                    }
-                }
-                Err(_) => it.failed = true,
-            }
-        }
+        _ => {}
     }
 }
 
 // ---------------------------------------------------------------------
-// The per-slot state machine
+// Driving a slot
 // ---------------------------------------------------------------------
 
-/// Process the completed phase and post the next one. Called only with
-/// an empty pending set. On error the slot's result is recorded and the
-/// slot finishes.
+/// Called with nothing in flight: resolve the phase whose completions
+/// are in — the declared execute phase, or a pipeline phase — and post
+/// the next one. The first error — already shaped, its cleanup run —
+/// becomes the slot's result.
 fn advance(co: &mut Coordinator, s: &mut SlotTxn, ops: &[TxnOp]) {
-    let pre_apply = !s.apply_started;
-    let step: Result<(), TxnError> = (|| match s.phase {
-        Phase::Execute => {
-            process_execute(co, s, ops)?;
-            end_phase_span(s, "execute");
-            start_validate(co, s)
-        }
-        Phase::Validate => {
-            process_validate(co, s)?;
-            end_phase_span(s, "validate");
-            if s.write_set.is_empty() {
-                // Read-only: validation is the whole commit.
-                commit_point(co, s);
-                s.finished = true;
-                Ok(())
-            } else {
-                start_log(co, s)
+    let step: Result<(), TxnError> = (|| {
+        if s.c.phase() == Phase::Execute {
+            process_execute(co, s, ops).map_err(|e| s.c.fail(co, e))?;
+            s.c.end_phase(co, TxnPhase::Execute);
+            s.c.begin();
+        } else {
+            s.c.settle(co)?;
+            if s.c.acked() && s.result.is_none() {
+                s.result = Some(Ok(TxnOutcome { reads: std::mem::take(&mut s.reads_out) }));
             }
         }
-        Phase::Log => {
-            process_log(co, s)?;
-            end_phase_span(s, "log");
-            start_apply(co, s, true);
-            Ok(())
+        if s.c.done() {
+            return Ok(());
         }
-        Phase::ApplyPrimaries => {
-            process_apply_tier(co, s, true)?;
-            start_apply(co, s, false);
-            Ok(())
-        }
-        Phase::ApplyBackups => {
-            process_apply_tier(co, s, false)?;
-            // Memory-failure rule (paper §3.2.5): commit iff every
-            // entry reached at least one live replica.
-            for i in 0..s.write_set.len() {
-                if !s.landed.iter().any(|&(j, _)| j == i) {
-                    return Err(TxnError::Aborted(AbortReason::MemoryFailure));
-                }
-            }
-            end_phase_span(s, "apply");
-            if co.ctx.config.persistence.needs_flush() {
-                start_flush(co, s)
-            } else {
-                commit_point(co, s);
-                start_finalize(co, s);
-                Ok(())
-            }
-        }
-        Phase::Flush => {
-            process_flush(co, s)?;
-            end_phase_span(s, "flush");
-            commit_point(co, s);
-            start_finalize(co, s);
-            Ok(())
-        }
-        Phase::Finalize => {
-            process_finalize(co, s);
-            end_phase_span(s, "unlock");
-            s.finished = true;
-            Ok(())
-        }
+        s.c.post(co)
     })();
     if let Err(e) = step {
-        let shaped = if pre_apply {
-            surface_slot_error(co, s, e)
-        } else {
-            // Mid-apply failure: leave locks AND logs in place — only
-            // recovery can restore atomicity from the undo images.
-            e
-        };
-        s.result = Some(Err(shaped));
-        s.finished = true;
-    }
-}
-
-fn end_phase_span(s: &mut SlotTxn, name: &'static str) {
-    if let Some(f) = &s.flight {
-        if f.enabled() {
-            f.end_from_instant(name, s.txn_id, s.phase_t0, true);
-        }
-    }
-    s.phase_t0 = Instant::now();
-}
-
-/// Map a raw phase error to its surfaced form, running the slot's abort
-/// path for clean pre-apply aborts (the scheduler twin of the classic
-/// `surface_transient` + `abort_now` + `cleanup_pre_apply` ladder).
-fn surface_slot_error(co: &mut Coordinator, s: &mut SlotTxn, e: TxnError) -> TxnError {
-    match e {
-        TxnError::Aborted(reason) => slot_abort(co, s, reason),
-        TxnError::Crashed => TxnError::Crashed,
-        TxnError::Rdma(RdmaError::Timeout { .. }) => slot_abort(co, s, AbortReason::NetworkTimeout),
-        TxnError::Rdma(e) => {
-            // Pre-apply fabric error from a live coordinator: truncate
-            // this slot's lane, release its locks (both-or-neither).
-            if slot_truncate_logs(co, s) {
-                release_all_held(co, s);
-            }
-            TxnError::Rdma(e)
-        }
-    }
-}
-
-/// The slot abort path: truncate the slot's log-lane entries, release
-/// the locks it holds, count and trace the abort.
-fn slot_abort(co: &mut Coordinator, s: &mut SlotTxn, reason: AbortReason) -> TxnError {
-    let truncated = slot_truncate_logs(co, s);
-    if truncated {
-        release_all_held(co, s);
-    }
-    // else: the undo entry could not be erased — keep the locks so
-    // recovery resolves the logged transaction atomically.
-    if co.injector().is_crashed() {
-        co.trace(TxnEvent::Crashed { txn_id: s.txn_id });
-        return TxnError::Crashed;
-    }
-    co.stats.aborted += 1;
-    co.note_abort(reason);
-    co.trace(TxnEvent::Aborted { txn_id: s.txn_id, reason: reason.name() });
-    if let Some(p) = &co.probe {
-        p.abort();
-    }
-    TxnError::Aborted(reason)
-}
-
-/// Truncate this slot's lane on every logged node (blocking, escalated
-/// budget). Returns `false` when a live node's copy could not be
-/// truncated — the caller must then keep the locks (see
-/// `Txn::truncate_own_logs` for the safety argument).
-fn slot_truncate_logs(co: &mut Coordinator, s: &mut SlotTxn) -> bool {
-    let off = log_lane_offset(s.lane);
-    let coord = co.coord_id;
-    let mut safe = true;
-    let mut fence = false;
-    for node in std::mem::take(&mut s.logged_nodes) {
-        let addr = co.map().log_region(node, coord).base + off;
-        match co.retry_release(|| co.qp(node).write_u64(addr, 0)) {
-            Ok(_) => {}
-            Err(RdmaError::NodeDead) => {}
-            Err(RdmaError::Timeout { .. }) => {
-                safe = false;
-                fence = true;
-            }
-            Err(_) => safe = false,
-        }
-    }
-    if fence {
-        co.ctx.resilience.note_self_fence();
-        co.flight_fence("self-fence-truncate");
-        co.injector().crash_now();
-    }
-    safe
-}
-
-/// Release every lock in `held` (live primaries only; a dead node's
-/// lock word died with it).
-fn release_all_held(co: &mut Coordinator, s: &mut SlotTxn) {
-    let dead = co.ctx.dead_nodes();
-    for sref in std::mem::take(&mut s.held) {
-        if let Ok(primary) = co.primary_of(sref.table, sref.bucket) {
-            if dead.contains(&primary) {
-                continue;
-            }
-            release_lock_or_fence(co, primary, co.lock_addr(primary, sref));
-        }
+        s.result = Some(Err(e));
     }
 }
 
 /// Release one held lock mid-execution (stale-cache path) and drop it
 /// from `held`.
 fn release_held(co: &mut Coordinator, s: &mut SlotTxn, sref: SlotRef) {
-    if let Some(p) = s.held.iter().position(|&h| h == sref) {
-        s.held.swap_remove(p);
+    if let Some(p) = s.c.held.iter().position(|&h| h == sref) {
+        s.c.held.swap_remove(p);
     }
     if let Ok(primary) = co.primary_of(sref.table, sref.bucket) {
-        release_lock_or_fence(co, primary, co.lock_addr(primary, sref));
+        co.release_lock_or_fence(primary, co.lock_addr(primary, sref));
     }
-}
-
-/// Scheduler twin of `Txn::release_lock_or_fence`: a live coordinator
-/// that cannot release a lock it owns self-fences.
-fn release_lock_or_fence(co: &Coordinator, node: NodeId, addr: u64) {
-    match co.retry_release(|| co.qp(node).write_u64(addr, 0)) {
-        Ok(_) => {}
-        Err(RdmaError::Timeout { .. }) => {
-            co.ctx.resilience.note_self_fence();
-            co.flight_fence("self-fence-unlock");
-            co.injector().crash_now();
-        }
-        // Crashed / AccessRevoked / NodeDead: recovery owns the word.
-        Err(_) => {}
-    }
-}
-
-fn lock_is_stray(co: &Coordinator, lock: LockWord) -> bool {
-    co.ctx.config.pill_active() && lock.is_locked() && co.ctx.failed.contains(lock.owner())
-}
-
-fn pad_value(co: &Coordinator, table: TableId, value: &[u8]) -> Vec<u8> {
-    let layout = co.map().layout(table);
-    assert_eq!(value.len(), layout.value_len, "value length must match the table's value_len");
-    let mut v = value.to_vec();
-    v.resize(layout.value_padded(), 0);
-    v
 }
 
 // ---------------------------------------------------------------------
@@ -1012,7 +734,7 @@ fn resolve_posted_locks(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), Txn
                 // transaction: re-read the word to disambiguate.
                 let addr = co.lock_addr(node, sref);
                 match co.retry_verb(|| co.qp(node).read_u64(addr)) {
-                    Ok(cur) if cur == s.lock.raw() => {
+                    Ok(cur) if cur == s.c.lock.raw() => {
                         co.ctx.resilience.ambiguous_resolved.fetch_add(1, Ordering::Relaxed);
                         LockState::Held
                     }
@@ -1046,7 +768,7 @@ fn resolve_posted_locks(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), Txn
             *lock = state;
         }
         if state == LockState::Held {
-            s.held.push(sref);
+            s.c.held.push(sref);
         }
     }
     match first_err {
@@ -1095,14 +817,14 @@ fn slot_read(
     if key == u64::MAX {
         return Ok(None);
     }
-    if let Some(w) = s.write_set.iter().find(|w| w.table == table && w.key == key) {
+    if let Some(w) = s.c.write_set.iter().find(|w| w.table == table && w.key == key) {
         let layout = co.map().layout(table);
         return Ok(match w.kind {
             WriteKind::Delete => None,
             _ => Some(w.new_value[..layout.value_len].to_vec()),
         });
     }
-    if let Some(r) = s.read_set.iter().find(|r| r.table == table && r.key == key) {
+    if let Some(r) = s.c.read_set.iter().find(|r| r.table == table && r.key == key) {
         return Ok(Some(r.value.clone()));
     }
     if let Some((sref, res, data)) = posted {
@@ -1140,11 +862,15 @@ fn slot_finish_read(
     let mut tries = 0u32;
     loop {
         let lock = full.image.lock;
-        if !lock.is_locked() || lock_is_stray(co, lock) || lock == s.lock {
+        if !lock.is_locked() || co.lock_is_stray(lock) || lock == s.c.lock {
             break;
         }
         tries += 1;
-        if tries > co.ctx.config.read_lock_retries {
+        // A live lock of this very coordinator is a sibling slot's, and
+        // the sibling cannot advance while this thread re-reads: waiting
+        // it out always ends in `LockConflict`, with every slot stalled
+        // for the whole retry budget. Abort at once.
+        if lock.owner() == co.coord_id || tries > co.ctx.config.read_lock_retries {
             return Err(TxnError::Aborted(AbortReason::LockConflict));
         }
         if co.ctx.pause.pause_requested() {
@@ -1163,7 +889,7 @@ fn slot_finish_read(
     }
     let layout = co.map().layout(table);
     let value = full.image.value[..layout.value_len].to_vec();
-    s.read_set.push(ReadEntry {
+    s.c.read_set.push(ReadEntry {
         table,
         key,
         slot: sref,
@@ -1227,7 +953,7 @@ fn slot_resolve(
 
 /// Stage a write-class op (scheduler twin of `Txn::write_impl` for the
 /// `Update` write kind — the scheduler supports writes and updates of
-/// existing keys; inserts and deletes take the classic engine).
+/// existing keys; inserts and deletes need a `Txn`).
 fn slot_write_op(
     co: &mut Coordinator,
     s: &mut SlotTxn,
@@ -1237,25 +963,25 @@ fn slot_write_op(
 ) -> Result<(), TxnError> {
     let (table, key) = ops[i].target();
     // Repeat write of a staged key mutates the staged post-image.
-    if s.write_set.iter().any(|w| w.table == table && w.key == key) {
+    if s.c.write_set.iter().any(|w| w.table == table && w.key == key) {
         let layout = co.map().layout(table);
         let new_value = match &ops[i] {
-            TxnOp::Write { value, .. } => pad_value(co, table, value),
+            TxnOp::Write { value, .. } => co.pad_value(table, value),
             TxnOp::Update { f, .. } => {
-                let w = s
-                    .write_set
-                    .iter()
-                    .find(|w| w.table == table && w.key == key)
-                    .expect("checked above");
-                pad_value(co, table, &f(&w.new_value[..layout.value_len]))
+                let w =
+                    s.c.write_set
+                        .iter()
+                        .find(|w| w.table == table && w.key == key)
+                        .expect("checked above");
+                co.pad_value(table, &f(&w.new_value[..layout.value_len]))
             }
             TxnOp::Read { .. } => unreachable!("write staging of a read op"),
         };
-        let w = s
-            .write_set
-            .iter_mut()
-            .find(|w| w.table == table && w.key == key)
-            .expect("checked above");
+        let w =
+            s.c.write_set
+                .iter_mut()
+                .find(|w| w.table == table && w.key == key)
+                .expect("checked above");
         w.new_value = new_value;
         return Ok(());
     }
@@ -1270,7 +996,7 @@ fn slot_write_op(
             }
             LockState::Conflict(prev) => {
                 if slot_lock_after_conflict(co, s, sref, key, prev)? {
-                    s.held.push(sref);
+                    s.c.held.push(sref);
                     slot_stage_under_lock(co, s, i, table, key, sref, None, ops)
                 } else {
                     Err(TxnError::Aborted(AbortReason::LockConflict))
@@ -1321,7 +1047,7 @@ fn slot_stage_under_lock(
 }
 
 /// Blocking write staging: resolve, lock, re-read under the lock,
-/// finish (the classic `write_impl` slow path).
+/// finish (the `Txn::write_impl` slow path).
 fn slot_stage_blocking(
     co: &mut Coordinator,
     s: &mut SlotTxn,
@@ -1333,13 +1059,13 @@ fn slot_stage_blocking(
     let Some((sref, full)) = slot_resolve(co, table, key)? else {
         return Err(TxnError::Aborted(AbortReason::NotFound));
     };
-    if !full.image.version.is_present() && !lock_is_stray(co, full.image.lock) {
+    if !full.image.version.is_present() && !co.lock_is_stray(full.image.lock) {
         return Err(TxnError::Aborted(AbortReason::NotFound));
     }
     if !slot_try_lock(co, s, sref, key)? {
         return Err(TxnError::Aborted(AbortReason::LockConflict));
     }
-    s.held.push(sref);
+    s.c.held.push(sref);
     let primary = co.primary_of(table, sref.bucket)?;
     let full = co.read_full_slot(primary, sref)?;
     if full.key != dkvs::layout::stored_key(key) {
@@ -1364,7 +1090,7 @@ fn slot_try_lock(
     let primary = co.primary_of(sref.table, sref.bucket)?;
     let addr = co.lock_addr(primary, sref);
     let prev = co
-        .cas_resolved(primary, addr, 0, s.lock.raw(), true)
+        .cas_resolved(primary, addr, 0, s.c.lock.raw(), true)
         .map_err(TxnError::from_rdma)?;
     if prev == 0 {
         co.trace(TxnEvent::Lock { table: sref.table, key, stolen: false });
@@ -1387,9 +1113,9 @@ fn slot_lock_after_conflict(
     let primary = co.primary_of(sref.table, sref.bucket)?;
     let addr = co.lock_addr(primary, sref);
     let prev_lock = LockWord(prev);
-    if lock_is_stray(co, prev_lock) && prev_lock != s.lock {
+    if co.lock_is_stray(prev_lock) && prev_lock != s.c.lock {
         let got = co
-            .cas_resolved(primary, addr, prev, s.lock.raw(), true)
+            .cas_resolved(primary, addr, prev, s.c.lock.raw(), true)
             .map_err(TxnError::from_rdma)?;
         if got == prev {
             co.stats.locks_stolen += 1;
@@ -1416,11 +1142,11 @@ fn slot_finish_entry(
     ops: &[TxnOp],
 ) -> Result<(), TxnError> {
     let entry_ok = full.image.version.is_present();
-    let read_version_ok = s
-        .read_set
-        .iter()
-        .find(|r| r.table == table && r.key == key)
-        .is_none_or(|r| r.version == full.image.version);
+    let read_version_ok =
+        s.c.read_set
+            .iter()
+            .find(|r| r.table == table && r.key == key)
+            .is_none_or(|r| r.version == full.image.version);
     if !entry_ok || !read_version_ok {
         let reason =
             if !read_version_ok { AbortReason::ValidationVersion } else { AbortReason::NotFound };
@@ -1428,12 +1154,12 @@ fn slot_finish_entry(
     }
     let layout = co.map().layout(table);
     let new_value = match &ops[i] {
-        TxnOp::Write { value, .. } => pad_value(co, table, value),
-        TxnOp::Update { f, .. } => pad_value(co, table, &f(&full.image.value[..layout.value_len])),
+        TxnOp::Write { value, .. } => co.pad_value(table, value),
+        TxnOp::Update { f, .. } => co.pad_value(table, &f(&full.image.value[..layout.value_len])),
         TxnOp::Read { .. } => unreachable!("write staging of a read op"),
     };
     let old_version = full.image.version;
-    s.write_set.push(WriteEntry {
+    s.c.write_set.push(WriteEntry {
         table,
         key,
         slot: sref,
@@ -1442,415 +1168,8 @@ fn slot_finish_entry(
         old_value: pad8(full.image.value),
         new_value,
         kind: WriteKind::Update,
-        locked: true,
     });
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Validate phase
-// ---------------------------------------------------------------------
-
-fn start_validate(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), TxnError> {
-    s.phase = Phase::Validate;
-    s.checks.clear();
-    for i in 0..s.read_set.len() {
-        let r = &s.read_set[i];
-        if s.write_set.iter().any(|w| w.table == r.table && w.key == r.key) {
-            continue; // write locks already protect these
-        }
-        let primary = co.primary_of(r.table, r.slot.bucket)?;
-        s.checks.push((i, primary));
-    }
-    s.items = (0..s.checks.len()).map(|_| ItemRes::default()).collect();
-    let depth = co.pipeline_depth();
-    for k in 0..s.checks.len() {
-        let (i, node) = s.checks[k];
-        let sref = s.read_set[i].slot;
-        let base = co.map().slot_addr(node, sref.table, sref.bucket, sref.slot);
-        let stripe = co.stripe(node);
-        let lane = stripe.lane_for(base);
-        let qp = stripe.lane(lane);
-        if qp.in_flight() >= depth {
-            continue; // blocking fallback at process time
-        }
-        if let Ok(id) = qp.post_read(base + SlotLayout::LOCK_OFF, 16) {
-            s.pending.push(Pend { node, lane, id, role: Role::Item(k) });
-            s.items[k].posted = true;
-        }
-    }
-    Ok(())
-}
-
-fn process_validate(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), TxnError> {
-    for k in 0..s.checks.len() {
-        let (i, primary) = s.checks[k];
-        let (sref, version) = (s.read_set[i].slot, s.read_set[i].version);
-        let usable = s.items[k].posted && !s.items[k].failed;
-        let (lock, cur_version) = match s.items[k].data.take() {
-            Some(buf) if usable && buf.len() >= 16 => (
-                LockWord(u64::from_le_bytes(buf[0..8].try_into().expect("8B"))),
-                VersionWord(u64::from_le_bytes(buf[8..16].try_into().expect("8B"))),
-            ),
-            _ => co
-                .read_lock_version(primary, sref)
-                .map_err(|_| TxnError::Aborted(AbortReason::ValidationVersion))?,
-        };
-        // Covert-locks fix: a locked read-set object means a concurrent
-        // writer holds it (this slot's own write locks were excluded
-        // from the checks; a *sibling* slot's lock aborts like any
-        // foreign coordinator's).
-        if lock.is_locked() && !lock_is_stray(co, lock) {
-            return Err(TxnError::Aborted(AbortReason::ValidationLocked));
-        }
-        if cur_version != version {
-            return Err(TxnError::Aborted(AbortReason::ValidationVersion));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Log phase
-// ---------------------------------------------------------------------
-
-fn start_log(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), TxnError> {
-    s.phase = Phase::Log;
-    let entry = LogEntry {
-        txn_id: s.txn_id,
-        coord: co.coord_id,
-        writes: s
-            .write_set
-            .iter()
-            .map(|w| UndoRecord {
-                table: w.table,
-                key: w.key,
-                bucket: w.slot.bucket,
-                slot: w.slot.slot,
-                old_version: w.old_version,
-                new_version: w.new_version,
-                old_value: w.old_value.clone(),
-            })
-            .collect(),
-    };
-    let buf = entry.encode();
-    debug_assert!(buf.len() <= LOG_LANE_BYTES as usize, "oversize admission check must have run");
-    let coord = co.coord_id;
-    let dead = co.ctx.dead_nodes();
-    let off = log_lane_offset(s.lane);
-    s.log_targets = co
-        .map()
-        .log_servers(coord)
-        .into_iter()
-        .filter(|n| !dead.contains(n))
-        .map(|n| (n, co.map().log_region(n, coord).base + off, buf.clone()))
-        .collect();
-    // Conservative superset before any outcome resolves: a posted WRITE
-    // may have landed even when its completion fails.
-    s.logged_nodes = s.log_targets.iter().map(|t| t.0).collect();
-    let flush = co.ctx.config.persistence.needs_flush();
-    s.items = (0..s.log_targets.len()).map(|_| ItemRes::default()).collect();
-    let depth = co.pipeline_depth();
-    for k in 0..s.log_targets.len() {
-        let (node, addr, ref bytes) = s.log_targets[k];
-        let stripe = co.stripe(node);
-        let lane = stripe.lane_for(addr);
-        let qp = stripe.lane(lane);
-        if qp.in_flight() >= depth {
-            continue;
-        }
-        let Ok(id) = qp.post_write(addr, bytes) else { continue };
-        s.pending.push(Pend { node, lane, id, role: Role::Item(k) });
-        if flush {
-            // The flush rides the write's RC order on the same lane.
-            let Ok(fid) = qp.post_flush(addr) else { continue };
-            s.pending.push(Pend { node, lane, id: fid, role: Role::Item(k) });
-        }
-        s.items[k].posted = true;
-    }
-    Ok(())
-}
-
-fn process_log(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), TxnError> {
-    let flush = co.ctx.config.persistence.needs_flush();
-    for k in 0..s.log_targets.len() {
-        if s.items[k].posted && !s.items[k].failed {
-            continue;
-        }
-        let (node, addr, ref bytes) = s.log_targets[k];
-        // Blocking (re-)issue: same bytes, same address — idempotent.
-        co.retry_verb(|| co.qp(node).write(addr, bytes)).map_err(TxnError::from_rdma)?;
-        if flush {
-            co.retry_verb(|| co.qp(node).flush(addr)).map_err(TxnError::from_rdma)?;
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Apply + flush phases
-// ---------------------------------------------------------------------
-
-fn start_apply(co: &mut Coordinator, s: &mut SlotTxn, primaries: bool) {
-    if primaries {
-        s.phase = Phase::ApplyPrimaries;
-        s.apply_started = !s.write_set.is_empty();
-        let dead = co.ctx.dead_nodes();
-        s.tier_primaries.clear();
-        s.tier_backups.clear();
-        s.landed.clear();
-        for (i, w) in s.write_set.iter().enumerate() {
-            let mut tier0 = true;
-            for node in co.map().replicas(w.table, w.slot.bucket) {
-                if dead.contains(&node) {
-                    continue;
-                }
-                if tier0 {
-                    s.tier_primaries.push((i, node));
-                    tier0 = false;
-                } else {
-                    s.tier_backups.push((i, node));
-                }
-            }
-        }
-    } else {
-        s.phase = Phase::ApplyBackups;
-    }
-    let items = if primaries { s.tier_primaries.clone() } else { s.tier_backups.clone() };
-    s.items = (0..items.len()).map(|_| ItemRes::default()).collect();
-    let depth = co.pipeline_depth();
-    for (k, &(i, node)) in items.iter().enumerate() {
-        let w = &s.write_set[i];
-        let base = co.map().slot_addr(node, w.table, w.slot.bucket, w.slot.slot);
-        let stripe = co.stripe(node);
-        let lane = stripe.lane_for(base);
-        let qp = stripe.lane(lane);
-        if qp.in_flight() >= depth {
-            continue;
-        }
-        // Value first, version second (batched or not): same-lane RC
-        // ordering keeps a concurrent reader from validating a torn
-        // value. The scheduler only stages `Update` entries, so the key
-        // word is never written.
-        let version_word = w.new_version.raw().to_le_bytes();
-        let mut ids: Vec<WorkId> = Vec::new();
-        let posted: RdmaResult<()> = (|| {
-            if co.ctx.config.doorbell_batching {
-                ids.push(qp.post_write_batch(&[
-                    (base + SlotLayout::VALUE_OFF, w.new_value.as_slice()),
-                    (base + SlotLayout::VERSION_OFF, &version_word),
-                ])?);
-            } else {
-                ids.push(qp.post_write(base + SlotLayout::VALUE_OFF, &w.new_value)?);
-                ids.push(qp.post_write(base + SlotLayout::VERSION_OFF, &version_word)?);
-            }
-            Ok(())
-        })();
-        // Tag even a partially-posted item's verbs so the poll loop
-        // accounts for their completions.
-        for id in ids {
-            s.pending.push(Pend { node, lane, id, role: Role::Item(k) });
-        }
-        if posted.is_ok() {
-            s.items[k].posted = true;
-        }
-    }
-}
-
-fn process_apply_tier(
-    co: &mut Coordinator,
-    s: &mut SlotTxn,
-    primaries: bool,
-) -> Result<(), TxnError> {
-    let items = if primaries { s.tier_primaries.clone() } else { s.tier_backups.clone() };
-    for (k, &(i, node)) in items.iter().enumerate() {
-        if s.items[k].posted && !s.items[k].failed {
-            s.landed.push((i, node));
-            continue;
-        }
-        match co.retry_verb(|| apply_write_blocking(co, s, i, node)) {
-            Ok(()) => s.landed.push((i, node)),
-            Err(RdmaError::NodeDead) => {
-                // Raced a memory-server death: a confirmed-dead replica
-                // is skipped (memory-failure rule, paper §3.2.5).
-                if co.ctx.fabric.node(node).map(|n| n.is_alive()).unwrap_or(false) {
-                    return Err(TxnError::Rdma(RdmaError::NodeDead));
-                }
-            }
-            Err(RdmaError::Timeout { .. }) => {
-                // Mid-apply exhaustion: fail-stop so recovery resolves
-                // the transaction from its undo log.
-                co.ctx.resilience.note_self_fence();
-                co.flight_fence("self-fence-apply");
-                co.injector().crash_now();
-                return Err(TxnError::Crashed);
-            }
-            Err(e) => return Err(TxnError::from_rdma(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Blocking twin of the posted apply writes (value, then version).
-fn apply_write_blocking(co: &Coordinator, s: &SlotTxn, i: usize, node: NodeId) -> RdmaResult<()> {
-    let w = &s.write_set[i];
-    let base = co.map().slot_addr(node, w.table, w.slot.bucket, w.slot.slot);
-    let version_word = w.new_version.raw().to_le_bytes();
-    if co.ctx.config.doorbell_batching {
-        co.qp(node).write_batch(&[
-            (base + SlotLayout::VALUE_OFF, w.new_value.as_slice()),
-            (base + SlotLayout::VERSION_OFF, &version_word),
-        ])?;
-        return Ok(());
-    }
-    co.qp(node).write(base + SlotLayout::VALUE_OFF, &w.new_value)?;
-    co.qp(node).write(base + SlotLayout::VERSION_OFF, &version_word)?;
-    Ok(())
-}
-
-fn start_flush(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), TxnError> {
-    s.phase = Phase::Flush;
-    // Selective flush: the last-written address per node, entry-major
-    // order (one flush per touched node, not per write).
-    s.flush_points.clear();
-    for (i, w) in s.write_set.iter().enumerate() {
-        for node in co.map().replicas(w.table, w.slot.bucket) {
-            if !s.landed.contains(&(i, node)) {
-                continue;
-            }
-            let base = co.map().slot_addr(node, w.table, w.slot.bucket, w.slot.slot);
-            match s.flush_points.iter_mut().find(|(n, _)| *n == node) {
-                Some(fp) => fp.1 = base,
-                None => s.flush_points.push((node, base)),
-            }
-        }
-    }
-    s.items = (0..s.flush_points.len()).map(|_| ItemRes::default()).collect();
-    let depth = co.pipeline_depth();
-    for k in 0..s.flush_points.len() {
-        let (node, addr) = s.flush_points[k];
-        let stripe = co.stripe(node);
-        let lane = stripe.lane_for(addr);
-        let qp = stripe.lane(lane);
-        if qp.in_flight() >= depth {
-            continue;
-        }
-        if let Ok(id) = qp.post_flush(addr) {
-            s.pending.push(Pend { node, lane, id, role: Role::Item(k) });
-            s.items[k].posted = true;
-        }
-    }
-    Ok(())
-}
-
-fn process_flush(co: &mut Coordinator, s: &mut SlotTxn) -> Result<(), TxnError> {
-    for k in 0..s.flush_points.len() {
-        if s.items[k].posted && !s.items[k].failed {
-            continue;
-        }
-        let (node, addr) = s.flush_points[k];
-        match co.retry_verb(|| co.qp(node).flush(addr)) {
-            Ok(()) => {}
-            Err(RdmaError::Timeout { .. }) => {
-                co.ctx.resilience.note_self_fence();
-                co.flight_fence("self-fence-flush");
-                co.injector().crash_now();
-                return Err(TxnError::Crashed);
-            }
-            Err(e) => return Err(TxnError::from_rdma(e)),
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Commit point & finalize
-// ---------------------------------------------------------------------
-
-/// The client commit-ack point (after apply/flush, before unlock).
-fn commit_point(co: &mut Coordinator, s: &mut SlotTxn) {
-    co.stats.committed += 1;
-    co.trace(TxnEvent::Committed { txn_id: s.txn_id });
-    if let Some(p) = &co.probe {
-        p.commit();
-    }
-    s.result = Some(Ok(TxnOutcome { reads: std::mem::take(&mut s.reads_out) }));
-}
-
-/// Post the post-ack cleanup: lock releases (routed by slot base, like
-/// the writes they follow) and this slot's log-lane truncations, one
-/// barrier for both.
-fn start_finalize(co: &mut Coordinator, s: &mut SlotTxn) {
-    s.phase = Phase::Finalize;
-    s.fin.clear();
-    let dead = co.ctx.dead_nodes();
-    for w in &s.write_set {
-        if !w.locked {
-            continue;
-        }
-        if let Ok(primary) = co.primary_of(w.table, w.slot.bucket) {
-            if dead.contains(&primary) {
-                continue;
-            }
-            s.fin.push(FinItem {
-                node: primary,
-                addr: co.lock_addr(primary, w.slot),
-                unlock: true,
-            });
-        }
-    }
-    let coord = co.coord_id;
-    let off = log_lane_offset(s.lane);
-    for node in std::mem::take(&mut s.logged_nodes) {
-        if dead.contains(&node) {
-            continue;
-        }
-        s.fin.push(FinItem {
-            node,
-            addr: co.map().log_region(node, coord).base + off,
-            unlock: false,
-        });
-    }
-    s.items = (0..s.fin.len()).map(|_| ItemRes::default()).collect();
-    let depth = co.pipeline_depth();
-    let zero = 0u64.to_le_bytes();
-    for k in 0..s.fin.len() {
-        let item = s.fin[k];
-        // Unlocks route by the slot base (the lane that applied the
-        // slot's writes); truncations route by the lane base.
-        let route = if item.unlock { item.addr - SlotLayout::LOCK_OFF } else { item.addr };
-        let stripe = co.stripe(item.node);
-        let lane = stripe.lane_for(route);
-        let qp = stripe.lane(lane);
-        if qp.in_flight() >= depth {
-            continue;
-        }
-        if let Ok(id) = qp.post_write(item.addr, &zero) {
-            s.pending.push(Pend { node: item.node, lane, id, role: Role::Item(k) });
-            s.items[k].posted = true;
-        }
-    }
-}
-
-/// Post-ack cleanup processing: failures here never change the commit
-/// result. An unreleasable lock self-fences (classic semantics); an
-/// untruncatable lane is tolerated — the committed entry classifies as
-/// fully-applied during recovery and rolls forward as a no-op.
-fn process_finalize(co: &mut Coordinator, s: &mut SlotTxn) {
-    for k in 0..s.fin.len() {
-        if s.items[k].posted && !s.items[k].failed {
-            continue;
-        }
-        let item = s.fin[k];
-        if item.unlock {
-            release_lock_or_fence(co, item.node, item.addr);
-            if co.injector().is_crashed() {
-                return;
-            }
-        } else {
-            let _ = co.retry_release(|| co.qp(item.node).write_u64(item.addr, 0));
-        }
-    }
 }
 
 #[cfg(test)]

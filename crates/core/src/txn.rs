@@ -1,44 +1,32 @@
-//! The transaction: execution, validation, logging, commit/abort
-//! (paper §2.3 for FORD, §3.1.5 for Pandora's phase summary).
+//! The transaction: the interactive execute phase, and the blocking
+//! driver of the commit pipeline (paper §2.3 for FORD, §3.1.5 for
+//! Pandora's phase summary).
 //!
-//! Phase structure implemented here:
+//! * **Execution** (here) — reads fetch `[key][lock][version][value]` in
+//!   one READ; writes eagerly lock (CAS) the primary and re-read the
+//!   object under the lock (the lock-then-read order forced by RC
+//!   ordering, §3.1.1 "What's the problem?"). Under PILL, a failed CAS
+//!   whose owner is in the failed-ids is *stolen* with a second CAS
+//!   (§3.1.2). With `pipeline_depth > 1` the lock CAS pipelines the
+//!   under-lock re-read behind itself on the same QP.
+//! * **Validate → log → apply → ack → unlock, and abort** — the shared
+//!   pipeline of `crate::commit`. [`Txn::commit`] drives it to
+//!   completion with one completion barrier per phase;
+//!   [`Txn::abort`] and `Drop` run its abort path. The interleaved
+//!   scheduler ([`crate::sched`]) drives the same machine by polling.
 //!
-//! * **Execution** — reads fetch `[key][lock][version][value]` in one
-//!   READ; writes eagerly lock (CAS) the primary and re-read the object
-//!   under the lock (the lock-then-read order forced by RC ordering,
-//!   §3.1.1 "What's the problem?"). Under PILL, a failed CAS whose owner
-//!   is in the failed-ids is *stolen* with a second CAS (§3.1.2).
-//! * **Validation** — every read-set object's `[lock][version]` pair is
-//!   re-read in a single 16 B READ; the object must be unlocked (or
-//!   stray-locked) and version-unchanged (covert-locks fix, §5.1).
-//! * **Logging** — only after validation succeeds (lost-decision fix,
-//!   §3.1.4): Pandora writes the whole write-set with one WRITE per
-//!   designated log server (f+1 total); FORD/Baseline writes per-object
-//!   logs to each object's own replica nodes.
-//! * **Commit** — apply value then version (two ordered verbs, so a
-//!   concurrent reader can never pass validation with a torn value —
-//!   DESIGN §4), ack the client, unlock primaries.
-//! * **Abort** — truncate any logs, unlock **only the locks actually
-//!   acquired** (complicit-aborts fix, §5.1), ack the client.
-//!
-//! When `SystemConfig::pipeline_depth > 1` (the default), each phase
-//! fans its verbs out across the memory nodes through the posted-verb
-//! engine and takes **one completion barrier per phase** instead of one
-//! round trip per verb: validation re-reads, undo-log writes (all f+1
-//! log servers at once), replica apply writes (primaries barriered
-//! before backups), unlocks and log truncation all overlap. The lock
-//! CAS additionally pipelines the under-lock re-read behind itself on
-//! the same QP. Items whose posted verbs fail fall back to the exact
-//! blocking retry/fencing logic, so the failure semantics are identical
-//! to the sequential path.
+//! The read/write sets, the list of held locks and the log bookkeeping
+//! live in the transaction's `Commit` state from the first operation
+//! on, so nothing is handed over at commit time.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use dkvs::hash::FxHashMap;
-use dkvs::{LockWord, LogEntry, SlotLayout, SlotRef, TableId, UndoRecord, VersionWord};
-use rdma_sim::{NodeId, QueuePair, RdmaError, RdmaResult, TimeoutApplied, WorkId};
+use dkvs::{LockWord, SlotLayout, SlotRef, TableId, VersionWord};
+use rdma_sim::{NodeId, RdmaError, TimeoutApplied};
 
+use crate::commit::{Commit, Phase};
 use crate::coordinator::{parse_full_slot, Coordinator, FullSlot};
 use crate::obs::TxnPhase;
 
@@ -168,7 +156,6 @@ pub(crate) struct WriteEntry {
     /// Post-image, padded.
     pub new_value: Vec<u8>,
     pub kind: WriteKind,
-    pub locked: bool,
 }
 
 pub(crate) struct ReadEntry {
@@ -185,15 +172,9 @@ pub(crate) struct ReadEntry {
 /// (best-effort lock release).
 pub struct Txn<'c> {
     pub(crate) co: &'c mut Coordinator,
-    txn_id: u64,
-    pub(crate) read_set: Vec<ReadEntry>,
-    pub(crate) write_set: Vec<WriteEntry>,
-    /// Log servers holding this txn's undo entry (for truncation).
-    logged_nodes: Vec<NodeId>,
-    /// True once apply_updates issued its first replica write: from then
-    /// on, error cleanup must leave locks and logs in place for recovery
-    /// (a partial apply can only be repaired from the undo log).
-    apply_started: bool,
+    /// Read/write sets, held locks, and the commit pipeline's state
+    /// (log lane 0, the coordinator's current lock word).
+    c: Commit,
     done: bool,
     /// Execution-phase start; `Some` only when phase stats are attached,
     /// so the untimed path pays nothing but an `Option` check.
@@ -206,21 +187,12 @@ pub struct Txn<'c> {
 impl<'c> Txn<'c> {
     pub(crate) fn new(co: &'c mut Coordinator, txn_id: u64) -> Txn<'c> {
         let started = co.phase_start();
-        Txn {
-            co,
-            txn_id,
-            read_set: Vec::new(),
-            write_set: Vec::new(),
-            logged_nodes: Vec::new(),
-            apply_started: false,
-            done: false,
-            started,
-            lock_elapsed: Duration::ZERO,
-        }
+        let c = Commit::new(txn_id, 0, co.my_lock(), false, None);
+        Txn { co, c, done: false, started, lock_elapsed: Duration::ZERO }
     }
 
     pub fn id(&self) -> u64 {
-        self.txn_id
+        self.c.txn_id
     }
 
     #[inline]
@@ -231,14 +203,6 @@ impl<'c> Txn<'c> {
         Ok(())
     }
 
-    fn pad_value(&self, table: TableId, value: &[u8]) -> Vec<u8> {
-        let layout = self.co.map().layout(table);
-        assert_eq!(value.len(), layout.value_len, "value length must match the table's value_len");
-        let mut v = value.to_vec();
-        v.resize(layout.value_padded(), 0);
-        v
-    }
-
     /// Emit the whole-transaction flight span (begin → commit/abort
     /// ack). Consumes `started`, so the span fires exactly once no
     /// matter which exit path (commit, abort, drop) runs last.
@@ -246,7 +210,7 @@ impl<'c> Txn<'c> {
         if let Some(f) = &self.co.flight {
             if f.enabled() {
                 if let Some(t0) = self.started.take() {
-                    f.end_from_instant("txn", self.txn_id, t0, ok);
+                    f.end_from_instant("txn", self.c.txn_id, t0, ok);
                 }
             }
         }
@@ -283,14 +247,14 @@ impl<'c> Txn<'c> {
         if key == u64::MAX {
             return Ok(None); // reserved key can never exist
         }
-        if let Some(w) = self.write_set.iter().find(|w| w.table == table && w.key == key) {
+        if let Some(w) = self.c.write_set.iter().find(|w| w.table == table && w.key == key) {
             let layout = self.co.map().layout(table);
             return Ok(match w.kind {
                 WriteKind::Delete => None,
                 _ => Some(w.new_value[..layout.value_len].to_vec()),
             });
         }
-        if let Some(r) = self.read_set.iter().find(|r| r.table == table && r.key == key) {
+        if let Some(r) = self.c.read_set.iter().find(|r| r.table == table && r.key == key) {
             return Ok(Some(r.value.clone()));
         }
         let Some((slot, full)) = self.resolve(table, key)? else {
@@ -316,7 +280,7 @@ impl<'c> Txn<'c> {
         let mut tries = 0u32;
         loop {
             let lock = full.image.lock;
-            if !lock.is_locked() || self.lock_is_stray(lock) {
+            if !lock.is_locked() || self.co.lock_is_stray(lock) {
                 break;
             }
             tries += 1;
@@ -340,7 +304,7 @@ impl<'c> Txn<'c> {
         }
         let layout = self.co.map().layout(table);
         let value = full.image.value[..layout.value_len].to_vec();
-        self.read_set.push(ReadEntry {
+        self.c.read_set.push(ReadEntry {
             table,
             key,
             slot,
@@ -369,8 +333,8 @@ impl<'c> Txn<'c> {
             let mut items: Vec<(u64, SlotRef, NodeId)> = Vec::new();
             for key in keys.clone() {
                 if key == u64::MAX
-                    || self.write_set.iter().any(|w| w.table == table && w.key == key)
-                    || self.read_set.iter().any(|r| r.table == table && r.key == key)
+                    || self.c.write_set.iter().any(|w| w.table == table && w.key == key)
+                    || self.c.read_set.iter().any(|r| r.table == table && r.key == key)
                 {
                     continue; // served locally by read()
                 }
@@ -422,15 +386,6 @@ impl<'c> Txn<'c> {
             }
         }
         Ok(out)
-    }
-
-    /// True if `lock` belongs to a coordinator in the failed-ids set
-    /// (PILL only): the lock is *stray* and may be treated as unlocked
-    /// for reads or stolen for writes (paper §3.1.2).
-    fn lock_is_stray(&self, lock: LockWord) -> bool {
-        self.co.ctx.config.pill_active()
-            && lock.is_locked()
-            && self.co.ctx.failed.contains(lock.owner())
     }
 
     /// Locate a key: address-cache fast path (one slot READ + key check)
@@ -508,8 +463,9 @@ impl<'c> Txn<'c> {
         if key == u64::MAX {
             return Err(self.abort_now(AbortReason::InvalidKey));
         }
-        let new_value = self.pad_value(table, value);
+        let new_value = self.co.pad_value(table, value);
         if self
+            .c
             .write_set
             .iter()
             .any(|w| w.table == table && w.key == key && w.kind == WriteKind::Delete)
@@ -518,7 +474,7 @@ impl<'c> Txn<'c> {
             // write is NotFound (re-creating it requires an insert).
             return Err(self.abort_now(AbortReason::NotFound));
         }
-        if let Some(w) = self.write_set.iter_mut().find(|w| w.table == table && w.key == key) {
+        if let Some(w) = self.c.write_set.iter_mut().find(|w| w.table == table && w.key == key) {
             w.new_value = new_value;
             return Ok(());
         }
@@ -540,7 +496,7 @@ impl<'c> Txn<'c> {
         let Some((slot, full)) = self.resolve(table, key)? else {
             return Err(self.abort_now(AbortReason::NotFound));
         };
-        if !full.image.version.is_present() && !self.lock_is_stray(full.image.lock) {
+        if !full.image.version.is_present() && !self.co.lock_is_stray(full.image.lock) {
             return Err(self.abort_now(AbortReason::NotFound));
         }
         self.stage_locked_write(table, key, slot, full, new_value, WriteKind::Update)
@@ -557,8 +513,8 @@ impl<'c> Txn<'c> {
         if key == u64::MAX {
             return Err(self.abort_now(AbortReason::InvalidKey));
         }
-        let new_value = self.pad_value(table, value);
-        if let Some(w) = self.write_set.iter_mut().find(|w| w.table == table && w.key == key) {
+        let new_value = self.co.pad_value(table, value);
+        if let Some(w) = self.c.write_set.iter_mut().find(|w| w.table == table && w.key == key) {
             if w.kind != WriteKind::Delete {
                 return Err(self.abort_now(AbortReason::AlreadyExists));
             }
@@ -658,8 +614,8 @@ impl<'c> Txn<'c> {
         if key == u64::MAX {
             return Err(self.abort_now(AbortReason::InvalidKey));
         }
-        if let Some(pos) = self.write_set.iter().position(|w| w.table == table && w.key == key) {
-            let w = &mut self.write_set[pos];
+        if let Some(pos) = self.c.write_set.iter().position(|w| w.table == table && w.key == key) {
+            let w = &mut self.c.write_set[pos];
             if w.kind == WriteKind::Delete {
                 // Already deleted by this txn: the key reads as absent.
                 return Err(self.abort_now(AbortReason::NotFound));
@@ -775,8 +731,8 @@ impl<'c> Txn<'c> {
         // Bug: "Logging without locking" — undo-log before the lock CAS.
         if bugs.logging_without_locking {
             self.push_provisional_entry(table, key, slot, &resolve_image, &new_value, kind);
-            self.write_undo_logs()?;
-            self.write_set.pop();
+            self.c.log_early(self.co)?;
+            self.c.write_set.pop();
         }
 
         if bugs.relaxed_locks {
@@ -790,8 +746,8 @@ impl<'c> Txn<'c> {
         // per lock, *before* the lock is taken (paper §6.1).
         if self.co.ctx.config.protocol.uses_lock_intents() {
             self.push_provisional_entry(table, key, slot, &resolve_image, &new_value, kind);
-            self.write_lock_intents()?;
-            self.write_set.pop();
+            self.c.log_intents(self.co)?;
+            self.c.write_set.pop();
         }
 
         let t_lock = self.co.phase_start();
@@ -835,7 +791,7 @@ impl<'c> Txn<'c> {
                 // Leave the lock for recovery if we crashed; otherwise
                 // release it before surfacing the error.
                 if !matches!(e, TxnError::Crashed) {
-                    self.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
+                    self.co.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
                 }
                 return Err(e);
             }
@@ -844,7 +800,7 @@ impl<'c> Txn<'c> {
         // duplicate-claim cleanup can clear a key word between our
         // resolve and our lock.
         if full.key != dkvs::layout::stored_key(key) {
-            self.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
+            self.co.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
             // Slot repurposed under us; retryable.
             return Err(self.abort_now(AbortReason::LockConflict));
         }
@@ -899,7 +855,7 @@ impl<'c> Txn<'c> {
             Ok(f) => f,
             Err(e) => {
                 if !matches!(e, TxnError::Crashed) {
-                    self.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
+                    self.co.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
                 }
                 return Err(e);
             }
@@ -907,7 +863,7 @@ impl<'c> Txn<'c> {
         if full.key != dkvs::layout::stored_key(key) {
             // Stale cache entry: the slot belongs to someone else now.
             // Release the (briefly held) lock and re-resolve.
-            self.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
+            self.co.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
             self.co.addr_cache.remove(&(table, key));
             return Ok(Some(new_value));
         }
@@ -936,12 +892,13 @@ impl<'c> Txn<'c> {
         };
         // Continuity with this txn's own earlier read of the same key.
         let read_version_ok = self
+            .c
             .read_set
             .iter()
             .find(|r| r.table == table && r.key == key)
             .is_none_or(|r| r.version == full.image.version);
         if !entry_ok || !read_version_ok {
-            self.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
+            self.co.release_lock_or_fence(primary, self.co.lock_addr(primary, slot));
             let reason = if !read_version_ok {
                 AbortReason::ValidationVersion
             } else if kind == WriteKind::Insert {
@@ -956,7 +913,7 @@ impl<'c> Txn<'c> {
             WriteKind::Delete => old_version.next_delete(),
             _ => old_version.next_write(),
         };
-        self.write_set.push(WriteEntry {
+        self.c.write_set.push(WriteEntry {
             table,
             key,
             slot,
@@ -965,13 +922,13 @@ impl<'c> Txn<'c> {
             old_value: pad8(full.image.value.clone()),
             new_value: if kind == WriteKind::Delete { pad8(full.image.value) } else { new_value },
             kind,
-            locked: true,
         });
+        self.c.held.push(slot);
 
         // Bug: "Lost decision" — FORD logs during execution, before the
         // decision, and aborts leave the log behind (paper §3.1.3).
         if self.co.ctx.config.bugs.lost_decision {
-            self.write_undo_logs()?;
+            self.c.log_early(self.co)?;
         }
         Ok(())
     }
@@ -992,7 +949,7 @@ impl<'c> Txn<'c> {
             WriteKind::Delete => old_version.next_delete(),
             _ => old_version.next_write(),
         };
-        self.write_set.push(WriteEntry {
+        self.c.write_set.push(WriteEntry {
             table,
             key,
             slot,
@@ -1005,7 +962,6 @@ impl<'c> Txn<'c> {
                 new_value.to_vec()
             },
             kind,
-            locked: false,
         });
     }
 
@@ -1051,7 +1007,7 @@ impl<'c> Txn<'c> {
         unique: bool,
     ) -> Result<bool, TxnError> {
         let prev_lock = LockWord(prev);
-        if self.lock_is_stray(prev_lock) && prev_lock != my {
+        if self.co.lock_is_stray(prev_lock) && prev_lock != my {
             // Steal: one extra CAS, owner-checked so a concurrent thief
             // cannot double-steal (paper §3.1.2 "How does stealing work?").
             let got = self
@@ -1167,272 +1123,24 @@ impl<'c> Txn<'c> {
     }
 
     // ---------------------------------------------------------------
-    // Validation phase
+    // Commit / abort
     // ---------------------------------------------------------------
-
-    fn validate(&mut self) -> Result<(), AbortReason> {
-        let bugs = self.co.ctx.config.bugs;
-        // The re-read set: read-set entries not protected by our own
-        // write locks, each with its acting primary.
-        let mut checks: Vec<(usize, NodeId)> = Vec::new();
-        for i in 0..self.read_set.len() {
-            let (table, key, slot) = {
-                let r = &self.read_set[i];
-                (r.table, r.key, r.slot)
-            };
-            if self.write_set.iter().any(|w| w.table == table && w.key == key) {
-                continue; // protected by our own lock
-            }
-            let primary =
-                self.co.primary_of(table, slot.bucket).map_err(|_| AbortReason::MemoryFailure)?;
-            checks.push((i, primary));
-        }
-        // Fan every 16 B `[lock][version]` re-read out with one barrier;
-        // failed items fall back to the blocking retrying read below.
-        // Checking stays in read-set order so the abort reason a caller
-        // sees is the same one the sequential path would report.
-        let mut fanned: Vec<Option<(LockWord, VersionWord)>> = vec![None; checks.len()];
-        if self.co.pipelining_on() && checks.len() > 1 {
-            let outcomes = self.co.fanout(
-                &checks,
-                |&(i, node)| {
-                    let s = self.read_set[i].slot;
-                    (node, self.co.map().slot_addr(node, s.table, s.bucket, s.slot))
-                },
-                |qp, &(i, node), ids| {
-                    let addr = self.co.lock_addr(node, self.read_set[i].slot);
-                    ids.push(qp.post_read(addr, 16)?);
-                    Ok(())
-                },
-            );
-            for (o, f) in outcomes.into_iter().zip(fanned.iter_mut()) {
-                if o.result.is_ok() {
-                    if let Some(buf) = o.data {
-                        *f = Some((
-                            LockWord(u64::from_le_bytes(buf[0..8].try_into().expect("8B"))),
-                            VersionWord(u64::from_le_bytes(buf[8..16].try_into().expect("8B"))),
-                        ));
-                    }
-                }
-            }
-        }
-        for (ci, &(i, primary)) in checks.iter().enumerate() {
-            let (slot, version) = {
-                let r = &self.read_set[i];
-                (r.slot, r.version)
-            };
-            let (lock, cur_version) = match fanned[ci].take() {
-                Some(pair) => pair,
-                None => self
-                    .co
-                    .read_lock_version(primary, slot)
-                    .map_err(|_| AbortReason::ValidationVersion)?,
-            };
-            if !bugs.covert_locks {
-                // Covert-locks fix: a locked read-set object means a
-                // concurrent writer holds it — abort (stray locks of
-                // failed coordinators are exempt under PILL).
-                if lock.is_locked() && !self.lock_is_stray(lock) {
-                    return Err(AbortReason::ValidationLocked);
-                }
-            }
-            if cur_version != version {
-                return Err(AbortReason::ValidationVersion);
-            }
-        }
-        Ok(())
-    }
 
     /// Deferred locking for the relaxed-locks bug: grab the locks *after*
     /// validation (the buggy interleaving of paper §5.1, litmus 2).
     fn lock_deferred(&mut self) -> Result<(), TxnError> {
-        for i in 0..self.write_set.len() {
-            if self.write_set[i].locked {
+        for i in 0..self.c.write_set.len() {
+            let (slot, key) = (self.c.write_set[i].slot, self.c.write_set[i].key);
+            if self.c.held.contains(&slot) {
                 continue;
             }
-            let slot = self.write_set[i].slot;
-            let key = self.write_set[i].key;
             if !self.try_lock(slot, key)? {
                 return Err(self.abort_now(AbortReason::LockConflict));
             }
-            self.write_set[i].locked = true;
+            self.c.held.push(slot);
         }
         Ok(())
     }
-
-    // ---------------------------------------------------------------
-    // Logging phase
-    // ---------------------------------------------------------------
-
-    fn undo_records(&self) -> Vec<(WriteKind, UndoRecord)> {
-        self.write_set
-            .iter()
-            .map(|w| {
-                (
-                    w.kind,
-                    UndoRecord {
-                        table: w.table,
-                        key: w.key,
-                        bucket: w.slot.bucket,
-                        slot: w.slot.slot,
-                        old_version: w.old_version,
-                        new_version: w.new_version,
-                        old_value: w.old_value.clone(),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Write undo logs. Pandora: one WRITE per designated log server
-    /// (f+1 total, amortizing the whole write-set — §3.1.4). FORD /
-    /// Baseline / Traditional: per-object entries on each object's own
-    /// replica nodes (grouped per node), i.e. ≥ f+1 WRITEs *per object*.
-    fn write_undo_logs(&mut self) -> Result<(), TxnError> {
-        if self.write_set.is_empty() {
-            return Ok(());
-        }
-        let bugs = self.co.ctx.config.bugs;
-        let records: Vec<(WriteKind, UndoRecord)> = self
-            .undo_records()
-            .into_iter()
-            // Missing-actions bug: inserts are not logged (paper §5.1).
-            .filter(|(kind, _)| !(bugs.missing_insert_log && *kind == WriteKind::Insert))
-            .collect();
-        let coord = self.co.coord_id;
-        let dead = self.co.ctx.dead_nodes();
-        self.logged_nodes.clear();
-        if self.co.ctx.config.protocol == crate::config::ProtocolKind::Pandora {
-            let entry = LogEntry {
-                txn_id: self.txn_id,
-                coord,
-                writes: records.into_iter().map(|(_, r)| r).collect(),
-            };
-            let buf = entry.encode();
-            let targets: Vec<(NodeId, u64, Vec<u8>)> = self
-                .co
-                .map()
-                .log_servers(coord)
-                .into_iter()
-                .filter(|n| !dead.contains(n))
-                .map(|n| (n, self.co.map().log_region(n, coord).base, buf.clone()))
-                .collect();
-            // Selective flush (paper §7): persist the log before the
-            // commit phase may act on it.
-            let flush = self.co.ctx.config.persistence.needs_flush();
-            self.write_log_copies(&targets, flush, true)?;
-        } else {
-            // FORD scheme: each object logged on its own replica nodes.
-            let mut per_node: std::collections::BTreeMap<NodeId, Vec<UndoRecord>> =
-                std::collections::BTreeMap::new();
-            for (_, r) in &records {
-                for node in self.co.map().replicas(r.table, r.bucket) {
-                    if dead.contains(&node) {
-                        continue;
-                    }
-                    per_node.entry(node).or_default().push(r.clone());
-                }
-            }
-            let targets: Vec<(NodeId, u64, Vec<u8>)> = per_node
-                .into_iter()
-                .map(|(node, writes)| {
-                    let entry = LogEntry { txn_id: self.txn_id, coord, writes };
-                    (node, self.co.map().log_region(node, coord).base, entry.encode())
-                })
-                .collect();
-            let flush = self.co.ctx.config.persistence.needs_flush();
-            self.write_log_copies(&targets, flush, true)?;
-        }
-        Ok(())
-    }
-
-    /// Write one log (or intent) copy per `(node, region base, bytes)`
-    /// target — fanned out behind a single completion barrier when
-    /// pipelining is on, blocking otherwise. The optional flush posts on
-    /// the same QP right behind its write, so RC ordering sequences it
-    /// without a second barrier.
-    ///
-    /// With `track` set, every *attempted* node is recorded in
-    /// `logged_nodes` before any failure is resolved: a posted WRITE may
-    /// have landed even when its completion failed, and truncating a
-    /// region that was never written is a harmless zero-write — the
-    /// conservative superset is exactly what abort-path truncation
-    /// needs.
-    fn write_log_copies(
-        &mut self,
-        targets: &[(NodeId, u64, Vec<u8>)],
-        flush: bool,
-        track: bool,
-    ) -> Result<(), TxnError> {
-        let outcomes = if self.co.pipelining_on() && targets.len() > 1 {
-            let o = self.co.fanout(
-                targets,
-                |t| (t.0, t.1), // route by the log region/lane base
-                |qp, t, ids| {
-                    ids.push(qp.post_write(t.1, &t.2)?);
-                    if flush {
-                        ids.push(qp.post_flush(t.1)?);
-                    }
-                    Ok(())
-                },
-            );
-            if track {
-                self.logged_nodes.extend(targets.iter().map(|t| t.0));
-            }
-            Some(o)
-        } else {
-            None
-        };
-        for (k, (node, base, buf)) in targets.iter().enumerate() {
-            if outcomes.as_ref().is_some_and(|o| o[k].result.is_ok()) {
-                continue;
-            }
-            // Blocking (re-)issue: the WRITE is idempotent (same bytes,
-            // same address), so re-running a failed fanned item is safe.
-            self.co
-                .retry_verb(|| self.co.qp(*node).write(*base, buf))
-                .map_err(TxnError::from_rdma)?;
-            if flush {
-                self.co
-                    .retry_verb(|| self.co.qp(*node).flush(*base))
-                    .map_err(TxnError::from_rdma)?;
-            }
-            if track && outcomes.is_none() {
-                self.logged_nodes.push(*node);
-            }
-        }
-        Ok(())
-    }
-
-    /// Traditional scheme: write the lock-intent list (all staged locks,
-    /// including the one about to be taken) to the f+1 log servers —
-    /// "an additional logging round trip for each lock" (paper §6.2.1).
-    fn write_lock_intents(&mut self) -> Result<(), TxnError> {
-        let coord = self.co.coord_id;
-        let dead = self.co.ctx.dead_nodes();
-        let mut buf = Vec::with_capacity(8 + self.write_set.len() * 24);
-        buf.extend_from_slice(&(self.write_set.len() as u64).to_le_bytes());
-        for w in &self.write_set {
-            buf.extend_from_slice(&(w.table.0 as u64).to_le_bytes());
-            buf.extend_from_slice(&w.slot.bucket.to_le_bytes());
-            buf.extend_from_slice(&(w.slot.slot as u64).to_le_bytes());
-        }
-        let targets: Vec<(NodeId, u64, Vec<u8>)> = self
-            .co
-            .map()
-            .log_servers(coord)
-            .into_iter()
-            .filter(|n| !dead.contains(n))
-            .map(|n| (n, self.co.map().intent_region(n, coord).base, buf.clone()))
-            .collect();
-        // Intents are never flushed (they are advisory even under NVM)
-        // and never truncated, so they don't join `logged_nodes`.
-        self.write_log_copies(&targets, false, false)
-    }
-
-    // ---------------------------------------------------------------
-    // Commit / abort
-    // ---------------------------------------------------------------
 
     /// Validate, log, apply, ack, unlock. `Ok(())` means the client
     /// received a commit-ack (updates are applied on all live replicas);
@@ -1448,37 +1156,21 @@ impl<'c> Txn<'c> {
             self.co
                 .record_phase(TxnPhase::Execute, t0.elapsed().saturating_sub(self.lock_elapsed));
         }
-        let result = self.commit_inner();
+        let result = self.drive_commit();
         match &result {
             Ok(()) => {
-                if self.started.is_some() && !self.write_set.is_empty() {
+                if self.started.is_some() && !self.c.write_set.is_empty() {
                     self.co.record_phase(TxnPhase::Lock, self.lock_elapsed);
-                }
-                self.co.stats.committed += 1;
-                self.co.trace(crate::trace::TxnEvent::Committed { txn_id: self.txn_id });
-                if let Some(p) = &self.co.probe {
-                    p.commit();
                 }
             }
             Err(TxnError::Crashed) => {
-                self.co.trace(crate::trace::TxnEvent::Crashed { txn_id: self.txn_id });
+                self.co.trace(crate::trace::TxnEvent::Crashed { txn_id: self.c.txn_id });
                 self.co.note_crashed()
             }
-            Err(TxnError::Rdma(_)) | Err(TxnError::Aborted(_)) if self.apply_started => {
-                // Mid-apply failure (e.g. >f replicas lost): some objects
-                // may be updated and some not. Leave locks AND logs in
-                // place — only recovery can restore atomicity from the
-                // undo images; unlocking here would expose a partial
-                // transaction.
-            }
-            Err(TxnError::Rdma(_)) => {
-                // Pre-apply fabric error from a live coordinator: release
-                // the locks and truncate any logs already written, so the
-                // stale entry cannot be mistaken for an in-flight txn by a
-                // later recovery.
-                self.cleanup_pre_apply();
-            }
-            Err(TxnError::Aborted(_)) => {}
+            // The pipeline already ran the cleanup its error calls for:
+            // abort, pre-apply truncate-and-unlock, or — mid-apply —
+            // nothing, leaving locks and logs to recovery.
+            Err(_) => {}
         }
         self.emit_txn_span(result.is_ok());
         self.done = true;
@@ -1486,444 +1178,45 @@ impl<'c> Txn<'c> {
         result
     }
 
-    fn commit_inner(&mut self) -> Result<(), TxnError> {
+    /// The blocking driver: post a phase, take one completion barrier,
+    /// settle it, until the pipeline is done.
+    fn drive_commit(&mut self) -> Result<(), TxnError> {
         if self.co.injector().is_crashed() {
             return Err(TxnError::Crashed);
         }
-        let bugs = self.co.ctx.config.bugs;
-
-        // Validation (relaxed-locks bug: validate before locks are held).
-        let t = self.co.phase_start();
-        if let Err(reason) = self.validate() {
-            return Err(self.abort_now(reason));
-        }
-        self.co.phase_end(TxnPhase::Validate, t);
-        if bugs.relaxed_locks {
-            let t = self.co.phase_start();
-            let deferred = self.lock_deferred();
-            if let Some(t0) = t {
-                self.lock_elapsed += t0.elapsed();
-            }
-            deferred?;
-        }
-
-        // Logging phase — after validation only (lost-decision fix). The
-        // lost-decision bug already logged during execution. An exhausted
-        // retry budget here is still pre-commit-point: abort cleanly.
-        if !bugs.lost_decision {
-            let t = self.co.phase_start();
-            let logged = self.write_undo_logs();
-            self.surface_transient(logged)?;
-            self.co.phase_end(TxnPhase::Log, t);
-        }
-
-        // Commit phase: apply to every live replica.
-        let t = self.co.phase_start();
-        self.apply_updates()?;
-        self.co.phase_end(TxnPhase::Apply, t);
-
-        // ---- client commit-ack point (paper §2.3: "The client is
-        // notified after the first step") ----
-
-        // Unlock is post-ack: failures here leave stray locks for
-        // recovery but the commit stands. Lock-intent regions are NOT
-        // cleared per-txn — the next transaction's first intent write
-        // overwrites them, and recovery's stop-the-world replay makes
-        // stale intents harmless (releasing an unlocked slot is a no-op,
-        // and every lock still held at replay time is stray). This keeps
-        // the traditional scheme at the paper's "one additional logging
-        // round trip for each lock" (§6.2.1).
-        let t = self.co.phase_start();
-        self.unlock_all();
-        self.co.phase_end(TxnPhase::Unlock, t);
-        Ok(())
-    }
-
-    fn apply_updates(&mut self) -> Result<(), TxnError> {
-        self.apply_started = !self.write_set.is_empty();
-        let dead = self.co.ctx.dead_nodes();
-        // Two tiers, two barriers: every entry's acting primary is
-        // written (and its completion collected) before any backup
-        // write posts — the primary-before-backup order the sequential
-        // path enforced per entry, kept globally across the fan-out.
-        let mut primaries: Vec<(usize, NodeId)> = Vec::new();
-        let mut backups: Vec<(usize, NodeId)> = Vec::new();
-        for (i, w) in self.write_set.iter().enumerate() {
-            let mut tier0 = true;
-            for node in self.co.map().replicas(w.table, w.slot.bucket) {
-                if dead.contains(&node) {
-                    continue;
+        self.c.begin();
+        while !self.c.done() {
+            let phase = self.c.phase();
+            self.c.post(self.co)?;
+            self.c.wait(self.co);
+            self.c.settle(self.co)?;
+            if phase == Phase::Validate && self.co.ctx.config.bugs.relaxed_locks {
+                // Relaxed-locks bug: validation ran before the locks
+                // were held.
+                let t = self.co.phase_start();
+                let deferred = self.lock_deferred();
+                if let Some(t0) = t {
+                    self.lock_elapsed += t0.elapsed();
                 }
-                if tier0 {
-                    primaries.push((i, node));
-                    tier0 = false;
-                } else {
-                    backups.push((i, node));
-                }
-            }
-        }
-        let mut landed: Vec<(usize, NodeId)> = Vec::new();
-        self.apply_stage(&primaries, &mut landed)?;
-        self.apply_stage(&backups, &mut landed)?;
-        // Memory-failure rule (paper §3.2.5): commit iff every entry
-        // reached at least one live replica.
-        for i in 0..self.write_set.len() {
-            if !landed.iter().any(|&(j, _)| j == i) {
-                return Err(TxnError::Aborted(AbortReason::MemoryFailure));
-            }
-        }
-        if !self.co.ctx.config.persistence.needs_flush() {
-            return Ok(());
-        }
-        // For NVM: the last-written address per node, flushed once after
-        // all of that node's updates (the *selective* flush scheme — one
-        // flush per touched node, not per write). Walk the landed writes
-        // in the sequential path's entry-major order so each node's
-        // flush point is its last write.
-        let mut flush_points: Vec<(NodeId, u64)> = Vec::new();
-        for (i, w) in self.write_set.iter().enumerate() {
-            for node in self.co.map().replicas(w.table, w.slot.bucket) {
-                if !landed.contains(&(i, node)) {
-                    continue;
-                }
-                let base = self.co.map().slot_addr(node, w.table, w.slot.bucket, w.slot.slot);
-                match flush_points.iter_mut().find(|(n, _)| *n == node) {
-                    Some(fp) => fp.1 = base,
-                    None => flush_points.push((node, base)),
-                }
-            }
-        }
-        self.flush_stage(&flush_points)
-    }
-
-    /// Post one write-set entry's key/value/version WRITEs for `qp`'s
-    /// node. Value first, version second (batched or not): same-QP RC
-    /// ordering keeps a concurrent reader from ever validating a torn
-    /// value, exactly as in the blocking path.
-    fn post_apply_writes(&self, qp: &QueuePair, i: usize, ids: &mut Vec<WorkId>) -> RdmaResult<()> {
-        let w = &self.write_set[i];
-        let base = self.co.map().slot_addr(qp.node_id(), w.table, w.slot.bucket, w.slot.slot);
-        let key_word = dkvs::layout::stored_key(w.key).to_le_bytes();
-        let version_word = w.new_version.raw().to_le_bytes();
-        if self.co.ctx.config.doorbell_batching {
-            let mut batch: Vec<(u64, &[u8])> = Vec::with_capacity(3);
-            if w.kind == WriteKind::Insert {
-                batch.push((base + SlotLayout::KEY_OFF, &key_word));
-            }
-            if w.kind != WriteKind::Delete {
-                batch.push((base + SlotLayout::VALUE_OFF, &w.new_value));
-            }
-            batch.push((base + SlotLayout::VERSION_OFF, &version_word));
-            ids.push(qp.post_write_batch(&batch)?);
-            return Ok(());
-        }
-        if w.kind == WriteKind::Insert {
-            ids.push(qp.post_write(base + SlotLayout::KEY_OFF, &key_word)?);
-        }
-        if w.kind != WriteKind::Delete {
-            ids.push(qp.post_write(base + SlotLayout::VALUE_OFF, &w.new_value)?);
-        }
-        ids.push(qp.post_write(base + SlotLayout::VERSION_OFF, &version_word)?);
-        Ok(())
-    }
-
-    /// Blocking twin of [`Txn::post_apply_writes`] — the fallback for
-    /// failed fanned items and the whole path when pipelining is off.
-    fn apply_writes_blocking(&self, i: usize, node: NodeId) -> Result<(), RdmaError> {
-        let w = &self.write_set[i];
-        let base = self.co.map().slot_addr(node, w.table, w.slot.bucket, w.slot.slot);
-        let key_word = dkvs::layout::stored_key(w.key).to_le_bytes();
-        let version_word = w.new_version.raw().to_le_bytes();
-        if self.co.ctx.config.doorbell_batching {
-            let mut batch: Vec<(u64, &[u8])> = Vec::with_capacity(3);
-            if w.kind == WriteKind::Insert {
-                batch.push((base + SlotLayout::KEY_OFF, &key_word));
-            }
-            if w.kind != WriteKind::Delete {
-                batch.push((base + SlotLayout::VALUE_OFF, &w.new_value));
-            }
-            batch.push((base + SlotLayout::VERSION_OFF, &version_word));
-            self.co.qp(node).write_batch(&batch)?;
-            return Ok(());
-        }
-        if w.kind == WriteKind::Insert {
-            self.co.qp(node).write(base + SlotLayout::KEY_OFF, &key_word)?;
-        }
-        if w.kind != WriteKind::Delete {
-            self.co.qp(node).write(base + SlotLayout::VALUE_OFF, &w.new_value)?;
-        }
-        self.co.qp(node).write(base + SlotLayout::VERSION_OFF, &version_word)?;
-        Ok(())
-    }
-
-    /// Apply one replica tier (all primaries, or all backups) behind a
-    /// single barrier; items whose posted verbs failed re-run through
-    /// the blocking path with its full error ladder. Successful
-    /// `(write-set index, node)` pairs are appended to `landed`.
-    fn apply_stage(
-        &self,
-        items: &[(usize, NodeId)],
-        landed: &mut Vec<(usize, NodeId)>,
-    ) -> Result<(), TxnError> {
-        let outcomes = if self.co.pipelining_on() && items.len() > 1 {
-            Some(self.co.fanout(
-                items,
-                |&(i, n)| {
-                    let w = &self.write_set[i];
-                    (n, self.co.map().slot_addr(n, w.table, w.slot.bucket, w.slot.slot))
-                },
-                |qp, &(i, _), ids| self.post_apply_writes(qp, i, ids),
-            ))
-        } else {
-            None
-        };
-        for (k, &(i, node)) in items.iter().enumerate() {
-            if outcomes.as_ref().is_some_and(|o| o[k].result.is_ok()) {
-                landed.push((i, node));
-                continue;
-            }
-            // The apply writes are idempotent (same bytes, same
-            // addresses), so transient timeouts — and failed fanned
-            // items — are retried in place.
-            match self.co.retry_verb(|| self.apply_writes_blocking(i, node)) {
-                Ok(()) => landed.push((i, node)),
-                Err(RdmaError::NodeDead) => {
-                    // Raced a memory-server death: the memory-failure
-                    // rule commits iff all *live* replicas are updated
-                    // (paper §3.2.5), so a confirmed-dead replica is
-                    // skipped.
-                    if self.co.ctx.fabric.node(node).map(|n| n.is_alive()).unwrap_or(false) {
-                        return Err(TxnError::Rdma(RdmaError::NodeDead));
-                    }
-                }
-                Err(RdmaError::Timeout { .. }) => {
-                    // Retry budget exhausted mid-apply: some replicas
-                    // may already hold the new value, and a live
-                    // coordinator can neither finish nor undo from
-                    // here atomically. Fail-stop (self-fence) so the
-                    // FD's recovery resolves the transaction from its
-                    // undo log — roll forward iff every live replica
-                    // advanced, roll back otherwise.
-                    self.co.ctx.resilience.note_self_fence();
-                    self.co.flight_fence("self-fence-apply");
-                    self.co.injector().crash_now();
-                    return Err(TxnError::Crashed);
-                }
-                Err(e) => return Err(TxnError::from_rdma(e)),
+                deferred?;
             }
         }
         Ok(())
     }
 
-    /// Issue the per-node selective flushes behind one barrier; failed
-    /// items fall back to the blocking flush and its self-fence ladder.
-    fn flush_stage(&self, points: &[(NodeId, u64)]) -> Result<(), TxnError> {
-        let outcomes = if self.co.pipelining_on() && points.len() > 1 {
-            Some(self.co.fanout(
-                points,
-                |&(n, addr)| (n, addr),
-                |qp, &(_, addr), ids| {
-                    ids.push(qp.post_flush(addr)?);
-                    Ok(())
-                },
-            ))
-        } else {
-            None
-        };
-        for (k, &(node, addr)) in points.iter().enumerate() {
-            if outcomes.as_ref().is_some_and(|o| o[k].result.is_ok()) {
-                continue;
-            }
-            match self.co.retry_verb(|| self.co.qp(node).flush(addr)) {
-                Ok(()) => {}
-                Err(RdmaError::Timeout { .. }) => {
-                    // Unflushed NVM mid-apply has the same shape as an
-                    // unfinished apply: fail-stop and let recovery redo.
-                    self.co.ctx.resilience.note_self_fence();
-                    self.co.flight_fence("self-fence-flush");
-                    self.co.injector().crash_now();
-                    return Err(TxnError::Crashed);
-                }
-                Err(e) => return Err(TxnError::from_rdma(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Release one lock word this txn acquired, escalating through the
-    /// release-grade retry budget. A *live* coordinator that exhausts
-    /// even that budget self-fences (crash-stop): the FD then declares it
-    /// failed and recovery frees the lock — transient faults never leave
-    /// a live-owned stuck lock. Revocation and node death hand the
-    /// lock's fate to recovery without fencing (under revocation the
-    /// coordinator may still be alive and about to reincarnate).
-    fn release_lock_or_fence(&self, node: NodeId, addr: u64) {
-        match self.co.retry_release(|| self.co.qp(node).write_u64(addr, 0)) {
-            Ok(_) => {}
-            Err(RdmaError::Timeout { .. }) => {
-                self.co.ctx.resilience.note_self_fence();
-                self.co.flight_fence("self-fence-unlock");
-                self.co.injector().crash_now();
-            }
-            // Crashed / AccessRevoked / NodeDead: recovery (or the dead
-            // node's absence) owns the lock word now.
-            Err(_) => {}
-        }
-    }
-
-    /// Release all locks this txn actually acquired (post-ack; errors are
-    /// recovery's business). With pipelining on, every release WRITE
-    /// posts up front and one barrier collects them; failures fall back
-    /// to the blocking release-or-fence path.
-    fn unlock_all(&mut self) {
-        let dead = self.co.ctx.dead_nodes();
-        let mut locks: Vec<(NodeId, u64)> = Vec::new();
-        for w in &self.write_set {
-            if !w.locked {
-                continue;
-            }
-            if let Ok(primary) = self.co.primary_of(w.table, w.slot.bucket) {
-                if dead.contains(&primary) {
-                    continue;
-                }
-                locks.push((primary, self.co.lock_addr(primary, w.slot)));
-            }
-        }
-        let outcomes = if self.co.pipelining_on() && locks.len() > 1 {
-            Some(self.co.fanout(
-                &locks,
-                // Route by slot base (the lock word sits inside the
-                // slot), keeping the release on the lane that applied
-                // the slot's writes.
-                |&(n, addr)| (n, addr - SlotLayout::LOCK_OFF),
-                |qp, &(_, addr), ids| {
-                    ids.push(qp.post_write(addr, &0u64.to_le_bytes())?);
-                    Ok(())
-                },
-            ))
-        } else {
-            None
-        };
-        for (k, &(node, addr)) in locks.iter().enumerate() {
-            if outcomes.as_ref().is_some_and(|o| o[k].result.is_ok()) {
-                continue;
-            }
-            self.release_lock_or_fence(node, addr);
-        }
-    }
-
-    /// Truncate this txn's own undo-log entries. Returns `false` if a
-    /// log copy on a *live* node could not be truncated: releasing the
-    /// write-locks with a live log entry left behind would let later
-    /// transactions commit into slots that a re-executed recovery might
-    /// then roll back, so the caller must keep the locks and fence.
-    fn truncate_own_logs(&mut self) -> bool {
-        let coord = self.co.coord_id;
-        let targets: Vec<(NodeId, u64)> = std::mem::take(&mut self.logged_nodes)
-            .into_iter()
-            .map(|node| (node, self.co.map().log_region(node, coord).base))
-            .collect();
-        let outcomes = if self.co.pipelining_on() && targets.len() > 1 {
-            Some(self.co.fanout(
-                &targets,
-                |&(n, base)| (n, base),
-                |qp, &(_, base), ids| {
-                    ids.push(qp.post_write(base, &0u64.to_le_bytes())?);
-                    Ok(())
-                },
-            ))
-        } else {
-            None
-        };
-        let mut safe = true;
-        let mut fence = false;
-        for (k, &(node, base)) in targets.iter().enumerate() {
-            if outcomes.as_ref().is_some_and(|o| o[k].result.is_ok()) {
-                continue;
-            }
-            match self.co.retry_release(|| self.co.qp(node).write_u64(base, 0)) {
-                Ok(_) => {}
-                // A dead node's log copy is invisible to recovery too.
-                Err(RdmaError::NodeDead) => {}
-                Err(RdmaError::Timeout { .. }) => {
-                    safe = false;
-                    fence = true;
-                }
-                // Crashed / revoked: recovery owns this txn's state.
-                Err(_) => safe = false,
-            }
-        }
-        if fence {
-            self.co.ctx.resilience.note_self_fence();
-            self.co.flight_fence("self-fence-truncate");
-            self.co.injector().crash_now();
-        }
-        safe
-    }
-
-    /// Pre-apply error cleanup: truncate this txn's logs, then release
-    /// its locks — in that order, and only both-or-neither. If
-    /// truncation fails the locks are deliberately left in place (see
-    /// [`Txn::truncate_own_logs`]) and recovery resolves the logged
-    /// transaction atomically.
-    fn cleanup_pre_apply(&mut self) {
-        if self.truncate_own_logs() {
-            self.unlock_all();
-        }
-    }
-
-    /// The abort path: truncate logs, release acquired locks, ack.
-    /// (Complicit-aborts bug: blindly release *every* write-set lock.)
-    /// `pub(crate)` so the scheduler's classic fallback can abort a
-    /// request whose read-modify-write found no value to modify.
+    /// Abort: run the pipeline's abort path (truncate logs, release the
+    /// held locks, ack) and close the transaction. `pub(crate)` so the
+    /// scheduler's classic fallback can abort a request whose
+    /// read-modify-write found no value to modify.
     pub(crate) fn abort_now(&mut self, reason: AbortReason) -> TxnError {
-        let bugs = self.co.ctx.config.bugs;
-        // Truncate any logs written for this txn (Pandora §3.1.5 "First,
-        // the coordinator logs the decision by truncating logs"). The
-        // lost-decision / logging-without-locking bugs skip this — that
-        // is precisely what makes them bugs.
-        let truncated = if !bugs.lost_decision && !bugs.logging_without_locking {
-            self.truncate_own_logs()
-        } else {
-            true // the bug paths leave logs behind by design
-        };
-        if truncated {
-            let dead = self.co.ctx.dead_nodes();
-            for w in &self.write_set {
-                let release = w.locked || bugs.complicit_abort;
-                if !release {
-                    continue;
-                }
-                if let Ok(primary) = self.co.primary_of(w.table, w.slot.bucket) {
-                    if dead.contains(&primary) {
-                        continue;
-                    }
-                    self.release_lock_or_fence(primary, self.co.lock_addr(primary, w.slot));
-                }
-            }
-        }
-        // else: the undo entry could not be erased — keep the locks so
-        // recovery resolves the logged txn atomically (truncate_own_logs
-        // already fenced us if the failure was transient).
-        if self.co.injector().is_crashed() {
-            self.co.trace(crate::trace::TxnEvent::Crashed { txn_id: self.txn_id });
+        let e = self.c.abort(self.co, reason);
+        if e == TxnError::Crashed {
             self.co.note_crashed();
-            self.emit_txn_span(false);
-            self.done = true;
-            self.co.ctx.pause.exit_txn(&self.co.gate);
-            return TxnError::Crashed;
-        }
-        self.co.stats.aborted += 1;
-        self.co.note_abort(reason);
-        self.co
-            .trace(crate::trace::TxnEvent::Aborted { txn_id: self.txn_id, reason: reason.name() });
-        if let Some(p) = &self.co.probe {
-            p.abort();
         }
         self.emit_txn_span(false);
         self.done = true;
         self.co.ctx.pause.exit_txn(&self.co.gate);
-        TxnError::Aborted(reason)
+        e
     }
 
     /// Explicitly abort (client-requested rollback).

@@ -3,8 +3,14 @@
 
 mod common;
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use common::{cluster_with_keys, generation_of, value_for, ALL_PROTOCOLS, KV};
-use pandora::{AbortReason, ProtocolKind, TxnError};
+use pandora::{
+    AbortReason, PhaseStats, ProtocolKind, RetryPolicy, SystemConfig, Tracer, TxnError, TxnEvent,
+};
+use rdma_sim::{ChaosConfig, CrashMode, CrashPlan};
 
 #[test]
 fn commit_then_read_back_all_protocols() {
@@ -380,4 +386,100 @@ fn tombstone_blocks_update() {
     let mut txn = co.begin();
     let err = txn.write(KV, 5, &value_for(5, 1)).unwrap_err();
     assert_eq!(err, TxnError::Aborted(AbortReason::NotFound));
+}
+
+// ---------------------------------------------------------------------
+// Why did validation abort? (ROADMAP north-star 4)
+// ---------------------------------------------------------------------
+
+/// A transaction that read key 2, ready to validate, on a coordinator
+/// with abort-reason counters attached. The address cache is warm, so
+/// the validation re-read is the next verb.
+fn reader_at_validation(cluster: &pandora::SimCluster) -> (pandora::Coordinator, Arc<PhaseStats>) {
+    let stats = PhaseStats::new();
+    let (co, _lease) = cluster.coordinator().unwrap();
+    let mut co = co.with_phase_stats(Arc::clone(&stats));
+    co.run(|txn| txn.read(KV, 2).map(|_| ())).unwrap();
+    (co, stats)
+}
+
+#[test]
+fn validation_blames_a_lost_replica_on_memory_failure() {
+    let cluster = cluster_with_keys(ProtocolKind::Pandora, 10);
+    let (mut co, stats) = reader_at_validation(&cluster);
+    let mut txn = co.begin();
+    txn.read(KV, 2).unwrap().expect("loaded");
+    // The primary dies between the read and its validation, before any
+    // failure handler has told the coordinator.
+    let primary = cluster.replica_nodes(KV, 2)[0];
+    cluster.ctx.fabric.kill_node(primary).unwrap();
+    let err = txn.commit().unwrap_err();
+    assert_eq!(err, TxnError::Aborted(AbortReason::MemoryFailure));
+    assert_eq!(stats.abort_count(AbortReason::MemoryFailure), 1);
+    assert_eq!(stats.abort_count(AbortReason::ValidationVersion), 0);
+}
+
+#[test]
+fn validation_blames_an_exhausted_retry_budget_on_the_network() {
+    let quiet = ChaosConfig {
+        seed: 1,
+        p_timeout: 0.0,
+        p_ambiguous: 0.0,
+        p_flap: 0.0,
+        flap_ops: (1, 1),
+        p_delay_spike: 0.0,
+        delay_spike: Duration::ZERO,
+    };
+    let retry = RetryPolicy { max_attempts: 3, base: Duration::ZERO, cap: Duration::ZERO };
+    let cluster = pandora::SimCluster::builder(ProtocolKind::Pandora)
+        .memory_nodes(3)
+        .replication(2)
+        .capacity_per_node(64 << 20)
+        .table(dkvs::TableDef::sized_for(0, "kv", common::VALUE_LEN, 128))
+        .max_coord_slots(64)
+        .config(SystemConfig::new(ProtocolKind::Pandora).with_retry(retry))
+        .chaos(quiet)
+        .build()
+        .unwrap();
+    cluster.bulk_load(KV, (0..10).map(|k| (k, value_for(k, 0)))).unwrap();
+    let chaos = cluster.chaos.as_ref().expect("chaos installed");
+    chaos.set_enabled(true);
+    let (mut co, stats) = reader_at_validation(&cluster);
+    let endpoint = co.endpoint();
+    let mut txn = co.begin();
+    txn.read(KV, 2).unwrap().expect("loaded");
+    // The link to the primary goes down for longer than the retry
+    // budget lasts: the posted re-read and every blocking retry time out.
+    let primary = cluster.replica_nodes(KV, 2)[0];
+    chaos.partition(endpoint.0, primary.0, 1_000);
+    let err = txn.commit().unwrap_err();
+    assert_eq!(err, TxnError::Aborted(AbortReason::NetworkTimeout));
+    assert_eq!(stats.abort_count(AbortReason::NetworkTimeout), 1);
+    assert_eq!(stats.abort_count(AbortReason::ValidationVersion), 0);
+}
+
+#[test]
+fn a_crash_during_validation_is_a_crash_not_an_abort() {
+    let cluster = cluster_with_keys(ProtocolKind::Pandora, 10);
+    let (co, stats) = reader_at_validation(&cluster);
+    let tracer = Tracer::new(64);
+    let mut co = co.with_tracer(Arc::clone(&tracer));
+    let injector = co.injector();
+    let mut txn = co.begin();
+    txn.read(KV, 2).unwrap().expect("loaded");
+    txn.write(KV, 3, &value_for(3, 1)).unwrap();
+    injector.arm(CrashPlan { at_op: injector.ops_issued() + 1, mode: CrashMode::BeforeOp });
+    assert_eq!(txn.commit().unwrap_err(), TxnError::Crashed);
+    // The abort path never ran: the crash is reported once, no
+    // abort-ack went out, nothing was counted, and key 3's lock is left
+    // in place for recovery.
+    let crashes = tracer
+        .snapshot()
+        .iter()
+        .filter(|r| matches!(r.event, TxnEvent::Crashed { .. }))
+        .count();
+    assert_eq!(crashes, 1, "{}", tracer.dump());
+    assert!(stats.abort_counts().iter().all(|&(_, n)| n == 0), "{:?}", stats.abort_counts());
+    let (lock, _, _) = cluster.raw_slot(KV, 3, cluster.replica_nodes(KV, 3)[0]).unwrap();
+    assert!(lock.is_locked(), "a crashed coordinator releases nothing");
 }

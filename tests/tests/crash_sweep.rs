@@ -4,7 +4,9 @@
 //! (both keys old, or both new), replica-consistent, and unlocked — the
 //! invariant that makes memory "always in a recoverable state"
 //! (paper §1.1). This is the systematic version of the paper's random
-//! crash injection.
+//! crash injection. A second sweep does the same to one transaction of
+//! every `WriteKind` (update + insert + delete): the first rows of the
+//! mutation × outcome matrix.
 
 use dkvs::{TableDef, TableId};
 use pandora::{ProtocolKind, SimCluster, SystemConfig};
@@ -153,6 +155,108 @@ fn baseline_survives_every_crash_point() {
 #[test]
 fn traditional_survives_every_crash_point() {
     sweep(ProtocolKind::Traditional);
+}
+
+/// What one key looks like on every replica after recovery: `Some(gen)`
+/// if present, `None` if absent. Asserts the replicas agree and no live
+/// lock remains. A slot that was never claimed, a claimed-but-unwritten
+/// key word (an insert that never applied) and a tombstone all read as
+/// absent — exactly what `peek` reports.
+fn settled(cluster: &SimCluster, protocol: ProtocolKind, key: u64, ctx: &str) -> Option<u64> {
+    let mut seen = Vec::new();
+    for node in cluster.replica_nodes(KV, key) {
+        let state = cluster.raw_slot(KV, key, node).and_then(|(lock, version, val)| {
+            assert!(
+                !lock.is_locked()
+                    || (protocol == ProtocolKind::Pandora
+                        && cluster.ctx.failed.contains(lock.owner())),
+                "{ctx}: leaked live lock on key {key}"
+            );
+            version.is_present().then(|| gen_of(&val))
+        });
+        seen.push(state);
+    }
+    assert!(
+        seen.windows(2).all(|w| w[0] == w[1]),
+        "{ctx}: replicas diverge on key {key}: {seen:?}"
+    );
+    assert_eq!(
+        seen[0],
+        cluster.peek(KV, key).map(|v| gen_of(&v)),
+        "{ctx}: peek disagrees on {key}"
+    );
+    seen[0]
+}
+
+/// One transaction of every `WriteKind` — update key 3, insert the
+/// absent key 100, delete key 11 — crashed at verb `at_op`. After
+/// recovery the three keys are all-old or all-new on every replica, an
+/// acked commit is all-new, and all three are usable again.
+fn mixed_sweep_once(protocol: ProtocolKind, at_op: u64, mode: CrashMode) -> bool {
+    const INSERTED: u64 = 100;
+    let ctx = format!("{protocol:?} mixed crash {mode:?}@{at_op}");
+    let cluster = build(protocol);
+    let (mut co, lease) = cluster.coordinator().unwrap();
+    co.injector().arm(CrashPlan { at_op, mode });
+    let commit_result = {
+        let mut txn = co.begin();
+        txn.write(KV, 3, &value(1))
+            .and_then(|()| txn.insert(KV, INSERTED, &value(1)))
+            .and_then(|()| txn.delete(KV, 11))
+            .and_then(|()| txn.commit())
+    };
+    let fired = co.injector().is_crashed();
+    if fired {
+        co.gate().mark_dead();
+        cluster.fd.declare_failed(lease.coord_id).expect("recovery runs");
+    }
+
+    let after = [3, INSERTED, 11].map(|k| settled(&cluster, protocol, k, &ctx));
+    let all_old = [Some(0), None, Some(0)];
+    let all_new = [Some(1), Some(1), None];
+    assert!(
+        after == all_old || after == all_new,
+        "{ctx}: atomicity violated: {after:?} (commit={commit_result:?})"
+    );
+    if commit_result.is_ok() {
+        assert_eq!(after, all_new, "{ctx}: acked commit lost");
+    }
+
+    // Liveness: a fresh coordinator can write or (re-)insert all three.
+    if fired {
+        let (mut co2, _l2) = cluster.coordinator().unwrap();
+        co2.run(|txn| {
+            for (k, now) in [3, INSERTED, 11].into_iter().zip(after) {
+                match now {
+                    Some(_) => txn.write(KV, k, &value(9))?,
+                    None => txn.insert(KV, k, &value(9))?,
+                }
+            }
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{ctx}: keys not usable after recovery: {e}"));
+        for k in [3, INSERTED, 11] {
+            assert_eq!(settled(&cluster, protocol, k, &ctx), Some(9));
+        }
+    }
+    fired
+}
+
+#[test]
+fn every_write_kind_survives_every_crash_point() {
+    for protocol in [ProtocolKind::Pandora, ProtocolKind::Ford, ProtocolKind::Traditional] {
+        let mut fired_any = false;
+        let mut all_fired = true;
+        for at_op in 1..=40u64 {
+            for mode in [CrashMode::BeforeOp, CrashMode::AfterOp, CrashMode::MidWrite] {
+                let fired = mixed_sweep_once(protocol, at_op, mode);
+                fired_any |= fired;
+                all_fired &= fired;
+            }
+        }
+        assert!(fired_any, "{protocol:?}: the mixed sweep never crashed anything");
+        assert!(!all_fired, "{protocol:?}: the mixed txn is longer than the sweep covers");
+    }
 }
 
 #[test]

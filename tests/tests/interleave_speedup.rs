@@ -9,7 +9,9 @@
 use std::time::{Duration, Instant};
 
 use dkvs::{TableDef, TableId};
-use pandora::{Coordinator, ProtocolKind, SimCluster, SystemConfig, TxnRequest};
+use pandora::{
+    AbortReason, Coordinator, ProtocolKind, SimCluster, SystemConfig, TxnError, TxnRequest,
+};
 use rdma_sim::LatencyModel;
 
 const KV: TableId = TableId(0);
@@ -143,53 +145,132 @@ fn interleaved_conflicts_on_one_key_all_commit_exactly_once() {
     assert_eq!(counter(&cluster.peek(KV, 7).unwrap()), 8, "lost update under contention");
 }
 
-/// Invisibility: with `inflight_txns = 1` and `qp_stripes = 1` the
-/// interleaved entry points take the classic engine path and produce
-/// identical state and identical verb counts to the closure API.
+/// A read that meets a *sibling slot's* lock aborts at once: the
+/// sibling cannot advance while the scheduler thread re-reads, so
+/// waiting out the lock only burns `read_lock_retries` round trips with
+/// every slot stalled — the mechanism behind the hot-key livelock of
+/// `run_interleaved_retrying`.
 #[test]
-fn single_slot_single_stripe_reproduces_classic_behavior() {
-    let run_requests = |cluster: &SimCluster| {
+fn read_meeting_a_sibling_slots_lock_aborts_at_once() {
+    let config = SystemConfig::new(ProtocolKind::Pandora)
+        .with_inflight_txns(2)
+        .with_qp_stripes(2);
+    let cluster = build(config, 0);
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    // A updates key 5, B reads it. Both are admitted in one pass, so A's
+    // eagerly executed lock CAS is what B's read finds.
+    let pair = || {
+        vec![
+            TxnRequest::new().update(KV, 5, |old| value(counter(old) + 1)),
+            TxnRequest::new().read(KV, 5),
+        ]
+    };
+    co.run_interleaved_retrying(&pair()).expect("warm-up commits");
+    let reads = |co: &Coordinator| co.op_counters().iter().map(|(_, s)| s.reads).sum::<u64>();
+
+    let before = reads(&co);
+    let results = co.run_interleaved(&pair());
+    assert!(results[0].is_ok(), "the writer commits: {:?}", results[0]);
+    assert_eq!(
+        results[1],
+        Err(TxnError::Aborted(AbortReason::LockConflict)),
+        "the reader gives way to its sibling"
+    );
+    // A's fused under-lock READ and B's one posted READ — not the 64
+    // blocking re-reads of a spun-out retry budget.
+    let spent = reads(&co) - before;
+    assert!(spent <= 4, "the aborted read cost {spent} READs");
+
+    let (outcomes, aborts) = co.run_interleaved_retrying(&pair()).expect("both commit");
+    assert_eq!(aborts, 1, "one resubmission of the reader");
+    assert_eq!(counter(outcomes[1].reads[0].as_ref().unwrap()), 3);
+    assert_eq!(counter(&cluster.peek(KV, 5).unwrap()), 3);
+}
+
+/// With interleaving off the request entry points run each request as a
+/// `Txn`, and end in the same state as the closure API.
+#[test]
+fn request_path_with_interleaving_off_matches_the_closure_path() {
+    let state = |cluster: &SimCluster| {
+        (0..512u64).map(|k| counter(&cluster.peek(KV, k).unwrap())).collect()
+    };
+    let baseline = SystemConfig::new(ProtocolKind::Pandora);
+    let by_closures: Vec<u64> = {
+        let cluster = build(baseline, 0);
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        for base in (0..32u64).map(|i| (i * 4) % 512) {
+            co.run(|txn| {
+                for k in base..base + 4 {
+                    let old = counter(&txn.read(KV, k)?.expect("loaded"));
+                    txn.write(KV, k, &value(old + 1))?;
+                }
+                Ok(())
+            })
+            .expect("commits");
+        }
+        state(&cluster)
+    };
+    let by_requests: Vec<u64> = {
+        let cluster = build(baseline, 0);
         let (mut co, _lease) = cluster.coordinator().unwrap();
         for round in 0..8u64 {
             co.run_interleaved_retrying(&batch(4, round)).expect("commits");
         }
-        let state: Vec<u64> = (0..512u64).map(|k| counter(&cluster.peek(KV, k).unwrap())).collect();
-        (cluster.ctx.fabric.total_counters(), state)
+        state(&cluster)
     };
-    let run_closures = |cluster: &SimCluster| {
+    assert_eq!(by_closures, by_requests, "request path diverges from the closure path");
+}
+
+/// One commit pipeline, two drivers: a warm 4-write transaction issues
+/// the same verbs whether a `Txn` drives it to completion or it runs as
+/// the only request of a 2-slot scheduler — except that the slot, whose
+/// log lane is shared, also truncates it (f+1 WRITEs of one word).
+#[test]
+fn txn_and_scheduler_slot_issue_the_same_commit_verbs() {
+    let writes = |gen: u64| (0..4u64).map(move |k| (k, value(gen)));
+    let run_txn = |cluster: &SimCluster| {
         let (mut co, _lease) = cluster.coordinator().unwrap();
-        for round in 0..8u64 {
-            for i in 0..4u64 {
-                let base = ((round * 4 + i) * 4) % 512;
-                co.run(|txn| {
-                    for k in base..base + 4 {
-                        let old = counter(&txn.read(KV, k)?.expect("loaded"));
-                        txn.write(KV, k, &value(old + 1))?;
-                    }
-                    Ok(())
-                })
+        let mut commit = |gen: u64| {
+            co.run(|txn| writes(gen).try_for_each(|(k, v)| txn.write(KV, k, &v)))
                 .expect("commits");
-            }
-        }
-        let state: Vec<u64> = (0..512u64).map(|k| counter(&cluster.peek(KV, k).unwrap())).collect();
-        (cluster.ctx.fabric.total_counters(), state)
+        };
+        commit(1); // warms the address cache
+        let before = cluster.ctx.fabric.total_counters();
+        commit(2);
+        (before, cluster.ctx.fabric.total_counters())
     };
-    let baseline = SystemConfig::new(ProtocolKind::Pandora);
-    let (_, classic_state) = run_closures(&build(baseline, 0));
-    let (_, request_state) = run_requests(&build(baseline, 0));
-    assert_eq!(classic_state, request_state, "request path diverges from the closure path");
-    // The declared Update op reads under the lock instead of running a
-    // separate transactional read first, so verb counts legitimately
-    // differ from the closure shape; what must match exactly is the
-    // request path with interleaving off vs on-but-width-1.
-    let width1 = SystemConfig::new(ProtocolKind::Pandora)
-        .with_inflight_txns(1)
-        .with_qp_stripes(1);
-    let (v1, s1) = run_requests(&build(width1, 0));
-    let off = SystemConfig::new(ProtocolKind::Pandora);
-    let (v0, s0) = run_requests(&build(off, 0));
-    assert_eq!(s1, s0, "width-1 interleaving changes final state");
-    assert_eq!(v1, v0, "width-1 interleaving changes wire traffic");
+    let run_slot = |cluster: &SimCluster| {
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        let mut commit = |gen: u64| {
+            let req = writes(gen).fold(TxnRequest::new(), |r, (k, v)| r.write(KV, k, v));
+            co.run_interleaved_retrying(&[req]).expect("commits");
+        };
+        commit(1);
+        let before = cluster.ctx.fabric.total_counters();
+        commit(2);
+        (before, cluster.ctx.fabric.total_counters())
+    };
+    let (t0, t1) = run_txn(&build(SystemConfig::new(ProtocolKind::Pandora), 0));
+    let two_slots = SystemConfig::new(ProtocolKind::Pandora).with_inflight_txns(2);
+    let (s0, s1) = run_slot(&build(two_slots, 0));
+
+    // The pinned warm layout (DESIGN.md §10), replication 2: per write
+    // one lock CAS fused with one under-lock READ; f+1 = 2 log WRITEs;
+    // value + version on both replicas of each object; 4 unlocks.
+    assert_eq!(t1.cas - t0.cas, 4);
+    assert_eq!(t1.reads - t0.reads, 4);
+    assert_eq!(t1.writes - t0.writes, 2 + 4 * 2 * 2 + 4);
+    assert_eq!(t1.flushes - t0.flushes, 0);
+
+    assert_eq!(s1.cas - s0.cas, t1.cas - t0.cas);
+    assert_eq!(s1.reads - s0.reads, t1.reads - t0.reads);
+    assert_eq!(s1.bytes_read - s0.bytes_read, t1.bytes_read - t0.bytes_read);
+    assert_eq!(s1.writes - s0.writes, t1.writes - t0.writes + 2, "f+1 lane truncations");
+    assert_eq!(
+        s1.bytes_written - s0.bytes_written,
+        t1.bytes_written - t0.bytes_written + 2 * 8,
+        "a truncation zeroes one word"
+    );
 }
 
 // ---------------------------------------------------------------------
