@@ -287,15 +287,14 @@ impl Commit {
                 // is written (and its completion collected) before any
                 // backup write posts.
                 self.apply_started = !self.write_set.is_empty();
-                let dead = co.ctx.dead_nodes();
+                let dead = co.ctx.dead_set();
                 self.backups.clear();
                 self.landed.clear();
                 for (i, w) in self.write_set.iter().enumerate() {
                     let mut live = co
                         .map()
-                        .replicas(w.table, w.slot.bucket)
-                        .into_iter()
-                        .filter(|n| !dead.contains(n));
+                        .replica_walk(w.table, w.slot.bucket)
+                        .filter(|&n| !dead.contains(n));
                     if let Some(primary) = live.next() {
                         self.items.push(Item::new(
                             primary,
@@ -318,7 +317,7 @@ impl Commit {
                 // entry-major so each node's flush point is its last
                 // write.
                 for (i, w) in self.write_set.iter().enumerate() {
-                    for node in co.map().replicas(w.table, w.slot.bucket) {
+                    for node in co.map().replica_walk(w.table, w.slot.bucket) {
                         if !self.landed.contains(&(i, node)) {
                             continue;
                         }
@@ -333,20 +332,18 @@ impl Commit {
             Phase::Unlock => {
                 // Post-ack cleanup, one barrier: lock releases, plus the
                 // lane truncation where lanes are shared.
-                let dead = co.ctx.dead_nodes();
+                let dead = co.ctx.dead_set();
                 for &sref in &self.held {
-                    if let Ok(primary) = co.primary_of(sref.table, sref.bucket) {
-                        if !dead.contains(&primary) {
-                            let base = co.slot_base(primary, sref);
-                            self.items.push(Item::new(primary, base, ItemKind::Unlock));
-                        }
+                    if let Some(primary) = co.map().primary(sref.table, sref.bucket, dead) {
+                        let base = co.slot_base(primary, sref);
+                        self.items.push(Item::new(primary, base, ItemKind::Unlock));
                     }
                 }
                 self.held.clear();
                 if self.shared_lanes {
                     let off = log_lane_offset(self.lane);
                     for node in std::mem::take(&mut self.logged_nodes) {
-                        if !dead.contains(&node) {
+                        if !dead.contains(node) {
                             let addr = co.map().log_region(node, co.coord_id).base + off;
                             self.items.push(Item::new(node, addr, ItemKind::Truncate));
                         }
@@ -367,7 +364,7 @@ impl Commit {
     fn stage_log(&mut self, co: &Coordinator) {
         let config = &co.ctx.config;
         let coord = co.coord_id;
-        let dead = co.ctx.dead_nodes();
+        let dead = co.ctx.dead_set();
         let off = log_lane_offset(self.lane);
         // Selective flush (paper §7): persist the log before the commit
         // phase may act on it.
@@ -396,7 +393,7 @@ impl Commit {
                 "the scheduler's oversize admission check must have run"
             );
             for node in co.map().log_servers(coord) {
-                if !dead.contains(&node) {
+                if !dead.contains(node) {
                     let addr = co.map().log_region(node, coord).base + off;
                     self.items.push(Item::new(node, addr, ItemKind::Log { buf: 0, flush }));
                 }
@@ -404,8 +401,8 @@ impl Commit {
         } else {
             let mut per_node: BTreeMap<NodeId, Vec<UndoRecord>> = BTreeMap::new();
             for r in records {
-                for node in co.map().replicas(r.table, r.bucket) {
-                    if !dead.contains(&node) {
+                for node in co.map().replica_walk(r.table, r.bucket) {
+                    if !dead.contains(node) {
                         per_node.entry(node).or_default().push(r.clone());
                     }
                 }
@@ -752,12 +749,12 @@ impl Commit {
             buf.extend_from_slice(&w.slot.bucket.to_le_bytes());
             buf.extend_from_slice(&(w.slot.slot as u64).to_le_bytes());
         }
-        let dead = co.ctx.dead_nodes();
+        let dead = co.ctx.dead_set();
         self.items.clear();
         self.log_bufs.clear();
         self.log_bufs.push(buf);
         for node in co.map().log_servers(co.coord_id) {
-            if !dead.contains(&node) {
+            if !dead.contains(node) {
                 let addr = co.map().intent_region(node, co.coord_id).base;
                 self.items.push(Item::new(node, addr, ItemKind::Log { buf: 0, flush: false }));
             }
@@ -867,12 +864,9 @@ impl Commit {
     /// Release every held lock (live primaries only; a dead node's lock
     /// word died with it).
     fn release_held(&mut self, co: &Coordinator) {
-        let dead = co.ctx.dead_nodes();
         for sref in std::mem::take(&mut self.held) {
             if let Ok(primary) = co.primary_of(sref.table, sref.bucket) {
-                if !dead.contains(&primary) {
-                    co.release_lock_or_fence(primary, co.lock_addr(primary, sref));
-                }
+                co.release_lock_or_fence(primary, co.lock_addr(primary, sref));
             }
         }
     }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dkvs::ClusterMap;
+use dkvs::{ClusterMap, NodeSet};
 use parking_lot::RwLock;
 use rdma_sim::{Fabric, NodeId};
 
@@ -15,13 +15,17 @@ use crate::pause::WorldPause;
 use crate::retry::ResilienceStats;
 
 /// Cluster-wide shared state: the fabric, the layout map, the failed-ids
-/// set, the dead-memory-node list, and the stop-the-world controller.
+/// set, the dead-memory-node set, and the stop-the-world controller.
 ///
 /// In a real deployment most of this is distributed (the FD pushes
 /// failed-id notifications; the cluster map is part of the join
 /// handshake); in-process sharing is the simulation equivalent and keeps
 /// the same information boundaries: coordinators only *read* this state,
-/// the FD/recovery side writes it.
+/// the FD/recovery side writes it. What a transaction reads here — the
+/// failed-ids bitset, the pause flag, the dead-node set — it reads with
+/// plain atomic loads: no lock is taken and nothing in this struct is
+/// written on the transaction path (DESIGN.md §10, "What coordinator
+/// threads share").
 pub struct SharedContext {
     pub fabric: Arc<Fabric>,
     pub map: Arc<ClusterMap>,
@@ -34,10 +38,16 @@ pub struct SharedContext {
     /// the gauge the metrics timeline samples to reconstruct the
     /// paper's fail-over availability curve.
     pub recoveries_in_flight: AtomicU64,
+    /// Read at connect time only: coordinators cache their handle.
     flight: RwLock<Option<Arc<FlightRecorder>>>,
-    dead_nodes: RwLock<Vec<NodeId>>,
-    dead_epoch: AtomicU64,
+    dead: Membership,
 }
+
+/// The dead-memory-node set as one word ([`NodeSet::bits`]), on a cache
+/// line of its own: every `primary_of` loads it, only a memory-node
+/// failure or revival stores to it.
+#[repr(align(128))]
+struct Membership(AtomicU64);
 
 impl SharedContext {
     pub fn new(
@@ -54,8 +64,7 @@ impl SharedContext {
             resilience: ResilienceStats::new(),
             recoveries_in_flight: AtomicU64::new(0),
             flight: RwLock::new(None),
-            dead_nodes: RwLock::new(Vec::new()),
-            dead_epoch: AtomicU64::new(0),
+            dead: Membership(AtomicU64::new(0)),
         })
     }
 
@@ -80,36 +89,33 @@ impl SharedContext {
         self.flight.read().as_ref().and_then(|rec| rec.auto_dump(reason))
     }
 
-    /// Snapshot of the known-dead memory nodes (placement input).
+    /// The known-dead memory nodes (placement input): one `Acquire`
+    /// load, pairing with the `AcqRel` update in
+    /// [`SharedContext::mark_node_dead`] / [`SharedContext::mark_node_live`],
+    /// so a reader that sees a node dead also sees whatever the marker
+    /// did before marking it.
+    #[inline]
+    pub fn dead_set(&self) -> NodeSet {
+        NodeSet::from_bits(self.dead.0.load(Ordering::Acquire))
+    }
+
+    /// [`SharedContext::dead_set`] as a list, in node-id order.
     pub fn dead_nodes(&self) -> Vec<NodeId> {
-        self.dead_nodes.read().clone()
+        self.dead_set().iter().collect()
     }
 
     pub fn is_node_dead(&self, n: NodeId) -> bool {
-        self.dead_nodes.read().contains(&n)
+        self.dead_set().contains(n)
     }
 
     /// Record a memory-node death (called by the FD under world pause).
     pub fn mark_node_dead(&self, n: NodeId) {
-        let mut dead = self.dead_nodes.write();
-        if !dead.contains(&n) {
-            dead.push(n);
-            self.dead_epoch.fetch_add(1, Ordering::AcqRel);
-        }
+        self.dead.0.fetch_or(NodeSet::only(n).bits(), Ordering::AcqRel);
     }
 
-    /// Remove a node from the dead list after re-replication/revival.
+    /// Remove a node from the dead set after re-replication/revival.
     pub fn mark_node_live(&self, n: NodeId) {
-        let mut dead = self.dead_nodes.write();
-        if let Some(pos) = dead.iter().position(|&d| d == n) {
-            dead.remove(pos);
-            self.dead_epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Bumped on every dead-node change.
-    pub fn dead_epoch(&self) -> u64 {
-        self.dead_epoch.load(Ordering::Acquire)
+        self.dead.0.fetch_and(!NodeSet::only(n).bits(), Ordering::AcqRel);
     }
 }
 
@@ -138,13 +144,13 @@ mod tests {
     fn dead_node_tracking() {
         let c = ctx();
         assert!(c.dead_nodes().is_empty());
-        let e0 = c.dead_epoch();
         c.mark_node_dead(NodeId(1));
         assert!(c.is_node_dead(NodeId(1)));
-        assert!(c.dead_epoch() > e0);
         c.mark_node_dead(NodeId(1)); // idempotent
-        assert_eq!(c.dead_nodes().len(), 1);
+        assert_eq!(c.dead_nodes(), vec![NodeId(1)]);
+        assert_eq!(c.dead_set(), NodeSet::only(NodeId(1)));
         c.mark_node_live(NodeId(1));
         assert!(!c.is_node_dead(NodeId(1)));
+        assert_eq!(c.dead_set(), NodeSet::default());
     }
 }

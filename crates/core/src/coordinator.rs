@@ -487,8 +487,8 @@ impl Coordinator {
             if f.enabled() {
                 f.instant(reason, self.current_txn_id(), 0);
             }
+            f.recorder().auto_dump(reason);
         }
-        self.ctx.flight_dump(reason);
     }
 
     /// Fail-stop a *live* coordinator that can neither finish nor undo
@@ -621,14 +621,13 @@ impl Coordinator {
         }
     }
 
-    /// Acting primary for a bucket under the current dead-node set.
-    pub(crate) fn primary_of(&self, table: TableId, bucket: u64) -> Result<NodeId, TxnError> {
-        let dead = self.ctx.dead_nodes();
+    /// Acting primary for a bucket under the context's current
+    /// dead-node set (one atomic load and a ring walk; no lock, no
+    /// allocation). `MemoryFailure` when every replica is dead.
+    pub fn primary_of(&self, table: TableId, bucket: u64) -> Result<NodeId, TxnError> {
         self.ctx
             .map
-            .live_replicas(table, bucket, &dead)
-            .first()
-            .copied()
+            .primary(table, bucket, self.ctx.dead_set())
             .ok_or(TxnError::Aborted(AbortReason::MemoryFailure))
     }
 

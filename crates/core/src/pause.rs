@@ -12,8 +12,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-/// Per-coordinator gate registered with the [`WorldPause`].
+/// Per-coordinator gate registered with the [`WorldPause`]. Its owner
+/// stores to `in_txn` twice per transaction, so each gate is aligned to
+/// a cache line pair of its own: gates are allocated back to back at
+/// connect time and would otherwise share lines across coordinators.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct CoordGate {
     /// True while the coordinator is inside a transaction.
     in_txn: AtomicBool,
@@ -195,6 +199,11 @@ mod tests {
         p.resume();
         assert!(handle.join().unwrap());
         assert!(gate.in_txn());
+    }
+
+    #[test]
+    fn gates_do_not_share_cache_lines() {
+        assert!(std::mem::align_of::<CoordGate>() >= 128);
     }
 
     #[test]

@@ -551,7 +551,8 @@ fn admit(co: &mut Coordinator, req: usize, si: usize, ops: &[TxnOp]) -> SlotTxn 
     if let Some(st) = &co.sched {
         st.note_admit();
     }
-    let flight = co.ctx.flight().map(|rec| rec.slot_handle(co.coord_id, si as u16));
+    // The recorder cached at connect: no context lock per admission.
+    let flight = co.flight.as_ref().map(|f| f.recorder().slot_handle(co.coord_id, si as u16));
     let mut c = Commit::new(txn_id, si as u32, co.lock_for(seq), true, flight);
     c.start_timer(co);
     let mut s = SlotTxn {

@@ -116,6 +116,51 @@ fn rereplication_rebuilds_a_revived_node() {
 }
 
 #[test]
+fn a_connected_coordinator_follows_the_membership_at_once() {
+    // The dead-node set is read afresh by every `primary_of`: a
+    // coordinator that connected long before a change sees it on its
+    // next call, and its next commit already goes by it.
+    let cluster = cluster_with_keys(ProtocolKind::Pandora, 64);
+    let handler = MemoryFailureHandler::new(std::sync::Arc::clone(&cluster.ctx)).unwrap();
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    let key = 7u64;
+    let bucket = cluster.ctx.map.table(KV).bucket_for(key);
+    let replicas = cluster.replica_nodes(KV, key);
+    let (original, backup) = (replicas[0], replicas[1]);
+    let stored = |node: NodeId| {
+        let (lock, _, value) = cluster.raw_slot(KV, key, node).expect("slot present");
+        assert!(!lock.is_locked(), "residual lock on {node:?}");
+        common::generation_of(&value)
+    };
+
+    assert_eq!(co.primary_of(KV, bucket).unwrap(), original);
+    co.run(|txn| txn.write(KV, key, &value_for(key, 1))).unwrap();
+    assert_eq!((stored(original), stored(backup)), (1, 1));
+
+    // The node stays reachable on the fabric, so a commit that still
+    // went to it would show.
+    cluster.ctx.mark_node_dead(original);
+    assert_eq!(co.primary_of(KV, bucket).unwrap(), backup, "first call after the change");
+    co.run(|txn| txn.write(KV, key, &value_for(key, 2))).unwrap();
+    assert_eq!(stored(backup), 2);
+    assert_eq!(stored(original), 1, "a commit applied to a node the context calls dead");
+
+    // Re-replication ends in `mark_node_live`.
+    handler.rereplicate(original).unwrap();
+    assert_eq!(co.primary_of(KV, bucket).unwrap(), original, "first call after revival");
+    co.run(|txn| txn.write(KV, key, &value_for(key, 3))).unwrap();
+    assert_eq!((stored(original), stored(backup)), (3, 3));
+
+    // More than f failures: no acting primary, and the error says so.
+    cluster.ctx.mark_node_dead(original);
+    cluster.ctx.mark_node_dead(backup);
+    assert_eq!(
+        co.primary_of(KV, bucket),
+        Err(pandora::TxnError::Aborted(pandora::AbortReason::MemoryFailure))
+    );
+}
+
+#[test]
 fn losing_all_replicas_reports_lost_buckets() {
     let cluster = cluster_with_keys(ProtocolKind::Pandora, 64);
     let handler = MemoryFailureHandler::new(std::sync::Arc::clone(&cluster.ctx)).unwrap();

@@ -11,7 +11,7 @@ use rdma_sim::{Fabric, NodeId, RdmaError, RdmaResult};
 
 use crate::layout::SlotLayout;
 use crate::log::{LogRegion, LOG_REGION_BYTES};
-use crate::placement::Placement;
+use crate::placement::{NodeSet, Placement};
 use crate::table::{TableDef, TableId};
 
 struct TableMeta {
@@ -85,6 +85,18 @@ impl ClusterMap {
     /// Full replica list (primary first) for a bucket, ignoring failures.
     pub fn replicas(&self, table: TableId, bucket: u64) -> Vec<NodeId> {
         self.placement.replicas(table.0 as u64 + 1, bucket)
+    }
+
+    /// The replicas of a bucket (primary first), ignoring failures,
+    /// without allocating.
+    pub fn replica_walk(&self, table: TableId, bucket: u64) -> impl Iterator<Item = NodeId> + '_ {
+        self.placement.replica_walk(table.0 as u64 + 1, bucket)
+    }
+
+    /// The acting primary of a bucket under the failed-node set `dead`
+    /// (`None` = every replica is dead); allocates nothing.
+    pub fn primary(&self, table: TableId, bucket: u64, dead: NodeSet) -> Option<NodeId> {
+        self.placement.primary(table.0 as u64 + 1, bucket, dead)
     }
 
     /// Replica list with `dead` nodes filtered; head = acting primary.

@@ -17,6 +17,42 @@ use crate::hash::mix64;
 /// Number of points each physical node contributes to the hash ring.
 const VNODES: u64 = 64;
 
+/// A set of memory nodes as one machine word (bit `i` = `NodeId(i)`):
+/// `Copy`, so the failed-node set travels by value and is published with
+/// a single atomic store. Node ids must be below [`NodeSet::CAPACITY`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeSet(u64);
+
+impl NodeSet {
+    /// Largest node universe a set can describe.
+    pub const CAPACITY: u16 = 64;
+
+    pub const fn from_bits(bits: u64) -> NodeSet {
+        NodeSet(bits)
+    }
+
+    pub const fn bits(self) -> u64 {
+        self.0
+    }
+
+    /// The one-element set `{n}`.
+    #[inline]
+    pub fn only(n: NodeId) -> NodeSet {
+        assert!(n.0 < NodeSet::CAPACITY, "node id {} does not fit a NodeSet", n.0);
+        NodeSet(1 << n.0)
+    }
+
+    #[inline]
+    pub fn contains(self, n: NodeId) -> bool {
+        n.0 < NodeSet::CAPACITY && self.0 & (1 << n.0) != 0
+    }
+
+    /// Members in ascending id order.
+    pub fn iter(self) -> impl Iterator<Item = NodeId> {
+        (0..NodeSet::CAPACITY).map(NodeId).filter(move |&n| self.contains(n))
+    }
+}
+
 /// Consistent-hash placement over a fixed node universe.
 #[derive(Debug, Clone)]
 pub struct Placement {
@@ -31,6 +67,11 @@ impl Placement {
     pub fn new(nodes: Vec<NodeId>, replication: usize) -> Placement {
         assert!(!nodes.is_empty());
         assert!(replication >= 1 && replication <= nodes.len(), "need replication ≤ node count");
+        assert!(
+            nodes.iter().all(|n| n.0 < NodeSet::CAPACITY),
+            "node ids must be below {}",
+            NodeSet::CAPACITY
+        );
         let mut ring = Vec::with_capacity(nodes.len() * VNODES as usize);
         for &n in &nodes {
             for v in 0..VNODES {
@@ -49,23 +90,36 @@ impl Placement {
         &self.nodes
     }
 
-    /// The full replica list (primary first) for `(table_salt, bucket)`,
-    /// ignoring failures: walk the ring from the bucket's point and take
-    /// the first `replication` distinct nodes.
-    pub fn replicas(&self, table_salt: u64, bucket: u64) -> Vec<NodeId> {
+    /// The replicas (primary first) of `(table_salt, bucket)`, ignoring
+    /// failures, without allocating: walk the ring from the bucket's
+    /// point and yield the first `replication` distinct nodes.
+    pub fn replica_walk(&self, table_salt: u64, bucket: u64) -> impl Iterator<Item = NodeId> + '_ {
         let point = mix64(bucket ^ table_salt.rotate_left(17));
         let start = self.ring.partition_point(|&(p, _)| p < point);
+        let mut seen = NodeSet::default();
+        (0..self.ring.len())
+            .map(move |i| self.ring[(start + i) % self.ring.len()].1)
+            .filter(move |&n| {
+                let fresh = !seen.contains(n);
+                seen.0 |= NodeSet::only(n).0;
+                fresh
+            })
+            .take(self.replication)
+    }
+
+    /// The full replica list (primary first) for `(table_salt, bucket)`,
+    /// ignoring failures.
+    pub fn replicas(&self, table_salt: u64, bucket: u64) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.replication);
-        for i in 0..self.ring.len() {
-            let (_, n) = self.ring[(start + i) % self.ring.len()];
-            if !out.contains(&n) {
-                out.push(n);
-                if out.len() == self.replication {
-                    break;
-                }
-            }
-        }
+        out.extend(self.replica_walk(table_salt, bucket));
         out
+    }
+
+    /// The acting primary — the first replica not in `dead` — or `None`
+    /// when every replica is dead. Equals
+    /// `live_replicas(..).first()` and allocates nothing.
+    pub fn primary(&self, table_salt: u64, bucket: u64, dead: NodeSet) -> Option<NodeId> {
+        self.replica_walk(table_salt, bucket).find(|&n| !dead.contains(n))
     }
 
     /// Replica list with dead nodes filtered out; the head is the

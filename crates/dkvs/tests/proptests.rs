@@ -1,7 +1,7 @@
 //! Property-based tests for the dkvs substrate: log-entry codec
 //! robustness, placement invariants, and layout arithmetic.
 
-use dkvs::{LogEntry, Placement, TableDef, TableId, UndoRecord, VersionWord};
+use dkvs::{LogEntry, NodeSet, Placement, TableDef, TableId, UndoRecord, VersionWord};
 use proptest::prelude::*;
 use rdma_sim::NodeId;
 
@@ -88,6 +88,38 @@ proptest! {
         // Survivors keep their relative order (backup promotion).
         let expected: Vec<NodeId> = full.iter().copied().filter(|&n| n != dead).collect();
         prop_assert_eq!(live, expected);
+    }
+
+    #[test]
+    fn primary_is_the_head_of_live_replicas(
+        nodes in 1u16..12,
+        replication in 1usize..4,
+        salt in any::<u64>(),
+        bucket in any::<u64>(),
+        dead_bits in any::<u64>(),
+        kill_replicas in any::<bool>(),
+    ) {
+        let replication = replication.min(nodes as usize);
+        let ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+        let p = Placement::new(ids, replication);
+        // Any subset of the universe — or, half the time, one that
+        // covers the bucket's whole replica list (the all-dead case).
+        let mut dead = NodeSet::from_bits(dead_bits & ((1u64 << nodes) - 1));
+        if kill_replicas {
+            let replicas = p.replicas(salt, bucket);
+            let bits = replicas.iter().fold(dead.bits(), |b, &n| b | NodeSet::only(n).bits());
+            dead = NodeSet::from_bits(bits);
+        }
+        let dead_list: Vec<NodeId> = dead.iter().collect();
+        let live = p.live_replicas(salt, bucket, &dead_list);
+        prop_assert_eq!(p.primary(salt, bucket, dead), live.first().copied());
+        if kill_replicas {
+            prop_assert_eq!(p.primary(salt, bucket, dead), None);
+        }
+        prop_assert_eq!(
+            p.replica_walk(salt, bucket).collect::<Vec<_>>(),
+            p.replicas(salt, bucket)
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Posted-verb completion engine: work ids, completions, and the
-//! fabric-wide verb-latency statistics.
+//! fabric's verb telemetry, sharded by endpoint.
 //!
 //! The simulator executes a posted verb's *effect* eagerly at post time —
 //! crash injection, liveness/revocation checks, the chaos draw, the memory
@@ -18,11 +18,16 @@
 //! they always did; the chaos schedule is keyed to per-link post order, so
 //! a pipelined issue sequence draws the same verdicts as a blocking one.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::error::{RdmaError, RdmaResult};
 use crate::flight::VerbKind;
+use crate::qp::{OpCounters, OpCountersSnapshot};
 
 /// Identifier of one posted verb, unique and monotonically increasing per
 /// queue pair. Completions on one QP are always delivered in `WorkId`
@@ -91,6 +96,14 @@ pub(crate) struct PendingState {
     pub(crate) claimed: Vec<Completion>,
 }
 
+impl PendingState {
+    /// How many entries at the front of the queue have ripened by `now`.
+    #[inline]
+    pub(crate) fn ripe(&self, now: Instant) -> usize {
+        self.entries.iter().take_while(|e| e.deadline <= now).count()
+    }
+}
+
 const KINDS: [VerbKind; 5] =
     [VerbKind::Read, VerbKind::Write, VerbKind::Cas, VerbKind::Faa, VerbKind::Flush];
 
@@ -107,39 +120,123 @@ fn kind_index(kind: VerbKind) -> usize {
 
 /// Lock-free log₂-bucket histogram of modeled post→completion latency for
 /// one verb kind (self-contained: the protocol crates depend on
-/// `rdma-sim`, never the reverse).
-#[derive(Debug)]
+/// `rdma-sim`, never the reverse). The count is the sum of the buckets.
 struct KindHist {
-    buckets: Box<[AtomicU64; 64]>,
-    count: AtomicU64,
+    buckets: [AtomicU64; 64],
     sum_ns: AtomicU64,
 }
 
 impl KindHist {
     fn new() -> KindHist {
-        let v: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; 64]> =
-            v.into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!("fixed size"));
-        KindHist { buckets, count: AtomicU64::new(0), sum_ns: AtomicU64::new(0) }
+        KindHist { buckets: [const { AtomicU64::new(0) }; 64], sum_ns: AtomicU64::new(0) }
     }
 
     #[inline]
     fn record(&self, ns: u64) {
         let bucket = 63 - ns.max(1).leading_zeros() as usize;
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
+}
 
-    fn quantile_ns(&self, q: f64) -> u64 {
-        let n = self.count.load(Ordering::Relaxed);
-        if n == 0 {
+/// One compute endpoint's share of the fabric's telemetry: the
+/// post→completion latency histograms, the in-flight verb gauge with its
+/// high-water mark, and the endpoint's verb counters per memory node.
+///
+/// Every queue pair of an endpoint writes its endpoint's shard and no
+/// other, so coordinators on different endpoints never write a common
+/// cache line on the verb path; [`Telemetry::totals`] sums the shards
+/// when somebody asks. Latencies are recorded at post time (the modeled
+/// latency is known then), so verbs abandoned before polling still count.
+#[repr(align(128))]
+pub(crate) struct EndpointShard {
+    kinds: [KindHist; 5],
+    in_flight: AtomicU64,
+    in_flight_high_water: AtomicU64,
+    /// Indexed by `NodeId.0`.
+    nodes: Box<[OpCounters]>,
+}
+
+impl EndpointShard {
+    fn new(memory_nodes: usize) -> EndpointShard {
+        EndpointShard {
+            kinds: std::array::from_fn(|_| KindHist::new()),
+            in_flight: AtomicU64::new(0),
+            in_flight_high_water: AtomicU64::new(0),
+            nodes: (0..memory_nodes).map(|_| OpCounters::default()).collect(),
+        }
+    }
+
+    /// A verb was posted: record its modeled latency and bump the gauge.
+    #[inline]
+    pub(crate) fn on_post(&self, kind: VerbKind, lat_ns: u64) {
+        self.kinds[kind_index(kind)].record(lat_ns);
+        let now = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
+        if now > self.in_flight_high_water.load(Ordering::Relaxed) {
+            self.in_flight_high_water.fetch_max(now, Ordering::AcqRel);
+        }
+    }
+
+    /// `n` completions were delivered (or their QP dropped with them
+    /// pending).
+    #[inline]
+    pub(crate) fn on_complete(&self, n: u64) {
+        self.in_flight.fetch_sub(n, Ordering::AcqRel);
+    }
+
+    /// This endpoint's verb counters towards `node`.
+    #[inline]
+    pub(crate) fn node(&self, node: u16) -> &OpCounters {
+        &self.nodes[node as usize]
+    }
+}
+
+/// Plain sums over shards: what the fabric's snapshot functions report.
+#[derive(Clone)]
+pub(crate) struct TelemetryTotals {
+    buckets: [[u64; 64]; 5],
+    sum_ns: [u64; 5],
+    in_flight: u64,
+    /// The deepest any one endpoint reached — a maximum, not a sum.
+    in_flight_high_water: u64,
+    pub(crate) nodes: Vec<OpCountersSnapshot>,
+}
+
+impl TelemetryTotals {
+    fn new(memory_nodes: usize) -> TelemetryTotals {
+        TelemetryTotals {
+            buckets: [[0; 64]; 5],
+            sum_ns: [0; 5],
+            in_flight: 0,
+            in_flight_high_water: 0,
+            nodes: vec![OpCountersSnapshot::default(); memory_nodes],
+        }
+    }
+
+    fn add(&mut self, shard: &EndpointShard) {
+        for (k, hist) in shard.kinds.iter().enumerate() {
+            for (mine, theirs) in self.buckets[k].iter_mut().zip(&hist.buckets) {
+                *mine += theirs.load(Ordering::Relaxed);
+            }
+            self.sum_ns[k] += hist.sum_ns.load(Ordering::Relaxed);
+        }
+        self.in_flight += shard.in_flight.load(Ordering::Acquire);
+        self.in_flight_high_water = self
+            .in_flight_high_water
+            .max(shard.in_flight_high_water.load(Ordering::Acquire));
+        for (mine, theirs) in self.nodes.iter_mut().zip(shard.nodes.iter()) {
+            *mine = mine.plus(&theirs.snapshot());
+        }
+    }
+
+    fn quantile_ns(&self, k: usize, count: u64, q: f64) -> u64 {
+        if count == 0 {
             return 0;
         }
-        let target = ((n as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let target = ((count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+        for (i, b) in self.buckets[k].iter().enumerate() {
+            seen += b;
             if seen >= target {
                 return 1u64 << (i + 1).min(63);
             }
@@ -147,83 +244,115 @@ impl KindHist {
         u64::MAX
     }
 
-    fn snapshot(&self, kind: VerbKind) -> VerbKindLatency {
-        let count = self.count.load(Ordering::Relaxed);
-        let mean_ns = self.sum_ns.load(Ordering::Relaxed).checked_div(count).unwrap_or(0);
-        VerbKindLatency {
-            kind,
-            count,
-            mean_ns,
-            p50_ns: self.quantile_ns(0.50),
-            p95_ns: self.quantile_ns(0.95),
-            p99_ns: self.quantile_ns(0.99),
-        }
-    }
-}
-
-/// Fabric-wide post→completion latency statistics plus the in-flight verb
-/// gauge. Shared by every QP of a fabric; recorded at post time (the
-/// modeled latency is known then), so verbs abandoned before polling are
-/// still counted.
-#[derive(Debug)]
-pub struct VerbLatencyStats {
-    kinds: [KindHist; 5],
-    in_flight: AtomicU64,
-    in_flight_high_water: AtomicU64,
-}
-
-impl Default for VerbLatencyStats {
-    fn default() -> Self {
-        VerbLatencyStats {
-            kinds: [
-                KindHist::new(),
-                KindHist::new(),
-                KindHist::new(),
-                KindHist::new(),
-                KindHist::new(),
-            ],
-            in_flight: AtomicU64::new(0),
-            in_flight_high_water: AtomicU64::new(0),
-        }
-    }
-}
-
-impl VerbLatencyStats {
-    /// A verb was posted: record its modeled latency and bump the gauge.
-    #[inline]
-    pub(crate) fn on_post(&self, kind: VerbKind, lat_ns: u64) {
-        self.kinds[kind_index(kind)].record(lat_ns);
-        let now = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-        self.in_flight_high_water.fetch_max(now, Ordering::AcqRel);
-    }
-
-    /// A completion was delivered (or its QP dropped with it pending).
-    #[inline]
-    pub(crate) fn on_complete(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    pub fn snapshot(&self) -> VerbLatencySnapshot {
-        let mut kinds = Vec::with_capacity(5);
-        for k in KINDS {
-            kinds.push(self.kinds[kind_index(k)].snapshot(k));
-        }
+    pub(crate) fn verb_snapshot(&self) -> VerbLatencySnapshot {
+        let kinds = std::array::from_fn(|k| {
+            let count: u64 = self.buckets[k].iter().sum();
+            VerbKindLatency {
+                kind: KINDS[k],
+                count,
+                mean_ns: self.sum_ns[k].checked_div(count).unwrap_or(0),
+                p50_ns: self.quantile_ns(k, count, 0.50),
+                p95_ns: self.quantile_ns(k, count, 0.95),
+                p99_ns: self.quantile_ns(k, count, 0.99),
+            }
+        });
         VerbLatencySnapshot {
-            kinds: kinds.try_into().unwrap_or_else(|_| unreachable!("fixed size")),
-            verbs_in_flight: self.in_flight.load(Ordering::Acquire),
-            in_flight_high_water: self.in_flight_high_water.load(Ordering::Acquire),
+            kinds,
+            verbs_in_flight: self.in_flight,
+            in_flight_high_water: self.in_flight_high_water,
         }
     }
 }
 
-/// Plain-data snapshot of [`VerbLatencyStats`], one entry per verb kind
-/// in READ/WRITE/CAS/FAA/FLUSH order.
+/// The fabric's registry of telemetry shards: one live shard per
+/// endpoint that currently has a queue pair, plus the folded totals of
+/// every endpoint whose last queue pair is gone — so the registry holds
+/// as many shards as there are connected endpoints, however many have
+/// come and gone. Touched at queue-pair creation, queue-pair drop and
+/// snapshot time only; never on the verb path.
+pub(crate) struct Telemetry {
+    inner: Mutex<TelemetryInner>,
+}
+
+struct TelemetryInner {
+    /// Endpoint id → its shard and the number of live queue pairs on it.
+    live: HashMap<u32, (Arc<EndpointShard>, usize)>,
+    retired: TelemetryTotals,
+}
+
+impl Telemetry {
+    pub(crate) fn new(memory_nodes: usize) -> Arc<Telemetry> {
+        Arc::new(Telemetry {
+            inner: Mutex::new(TelemetryInner {
+                live: HashMap::new(),
+                retired: TelemetryTotals::new(memory_nodes),
+            }),
+        })
+    }
+
+    /// Lease `endpoint`'s shard for one new queue pair, creating the
+    /// shard on the endpoint's first.
+    pub(crate) fn lease(self: &Arc<Self>, endpoint: u32) -> ShardLease {
+        let mut inner = self.inner.lock();
+        let memory_nodes = inner.retired.nodes.len();
+        let (shard, qps) = inner
+            .live
+            .entry(endpoint)
+            .or_insert_with(|| (Arc::new(EndpointShard::new(memory_nodes)), 0));
+        *qps += 1;
+        ShardLease { shard: Arc::clone(shard), registry: Arc::clone(self), endpoint }
+    }
+
+    /// Retired totals plus every live shard, read now.
+    pub(crate) fn totals(&self) -> TelemetryTotals {
+        let inner = self.inner.lock();
+        let mut totals = inner.retired.clone();
+        for (shard, _) in inner.live.values() {
+            totals.add(shard);
+        }
+        totals
+    }
+}
+
+/// A queue pair's hold on its endpoint's shard. Dropping the endpoint's
+/// last lease folds the shard into the registry's retired totals.
+pub(crate) struct ShardLease {
+    shard: Arc<EndpointShard>,
+    registry: Arc<Telemetry>,
+    endpoint: u32,
+}
+
+impl std::ops::Deref for ShardLease {
+    type Target = EndpointShard;
+
+    #[inline]
+    fn deref(&self) -> &EndpointShard {
+        &self.shard
+    }
+}
+
+impl Drop for ShardLease {
+    fn drop(&mut self) {
+        let mut inner = self.registry.inner.lock();
+        let TelemetryInner { live, retired } = &mut *inner;
+        let Entry::Occupied(mut entry) = live.entry(self.endpoint) else { return };
+        entry.get_mut().1 -= 1;
+        if entry.get().1 == 0 {
+            retired.add(&entry.remove().0);
+        }
+    }
+}
+
+/// Plain-data snapshot of the fabric's verb-latency telemetry (the sum
+/// over endpoints, see [`crate::Fabric::verb_stats`]), one entry per verb
+/// kind in READ/WRITE/CAS/FAA/FLUSH order.
 #[derive(Debug, Clone, Copy)]
 pub struct VerbLatencySnapshot {
     pub kinds: [VerbKindLatency; 5],
     /// Posted-but-undelivered verbs at snapshot time.
     pub verbs_in_flight: u64,
-    /// High-water mark of the in-flight gauge since fabric creation.
+    /// The deepest the in-flight gauge of any one endpoint has been since
+    /// fabric creation.
     pub in_flight_high_water: u64,
 }
 
@@ -250,33 +379,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_track_posts_and_high_water() {
-        let s = VerbLatencyStats::default();
-        s.on_post(VerbKind::Read, 2_000);
-        s.on_post(VerbKind::Read, 2_000);
-        s.on_post(VerbKind::Cas, 1_000);
-        let snap = s.snapshot();
+    fn shard_tracks_posts_and_high_water() {
+        let reg = Telemetry::new(1);
+        let lease = reg.lease(0);
+        lease.on_post(VerbKind::Read, 2_000);
+        lease.on_post(VerbKind::Read, 2_000);
+        lease.on_post(VerbKind::Cas, 1_000);
+        let snap = reg.totals().verb_snapshot();
         assert_eq!(snap.verbs_in_flight, 3);
         assert_eq!(snap.in_flight_high_water, 3);
         assert_eq!(snap.total_posted(), 3);
         assert_eq!(snap.kinds[0].count, 2);
         assert_eq!(snap.kinds[2].count, 1);
         assert_eq!(snap.kinds[0].mean_ns, 2_000);
-        s.on_complete();
-        s.on_complete();
-        s.on_complete();
-        let snap = s.snapshot();
+        lease.on_complete(3);
+        let snap = reg.totals().verb_snapshot();
         assert_eq!(snap.verbs_in_flight, 0);
         assert_eq!(snap.in_flight_high_water, 3, "high water survives drain");
     }
 
     #[test]
     fn kind_quantiles_are_log2_upper_edges() {
-        let h = KindHist::new();
+        let reg = Telemetry::new(1);
+        let lease = reg.lease(0);
         for _ in 0..100 {
-            h.record(100_000); // bucket [2^16, 2^17)
+            lease.on_post(VerbKind::Write, 100_000); // bucket [2^16, 2^17)
         }
-        let p50 = h.quantile_ns(0.5);
+        let p50 = reg.totals().verb_snapshot().kinds[1].p50_ns;
         assert!((100_000..=200_000).contains(&p50));
+    }
+
+    #[test]
+    fn retired_endpoints_keep_their_counts_and_leave_the_registry() {
+        let reg = Telemetry::new(2);
+        for endpoint in 0..100u32 {
+            let mut leases: Vec<ShardLease> = (0..3).map(|_| reg.lease(endpoint)).collect();
+            leases[0].on_post(VerbKind::Faa, 500);
+            leases[1].node(1).faa.fetch_add(1, Ordering::Relaxed);
+            leases[0].on_complete(1);
+            leases.pop();
+            assert_eq!(reg.inner.lock().live.len(), 1, "shard lives while a lease does");
+            drop(leases);
+            assert!(reg.inner.lock().live.is_empty(), "registry grew with endpoint {endpoint}");
+        }
+        let totals = reg.totals();
+        assert_eq!(totals.verb_snapshot().kinds[3].count, 100);
+        assert_eq!(totals.verb_snapshot().in_flight_high_water, 1, "a maximum, not a sum");
+        assert_eq!(totals.nodes[1].faa, 100);
+        assert_eq!(totals.nodes[0], OpCountersSnapshot::default());
     }
 }

@@ -4,13 +4,13 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::chaos::ChaosModel;
-use crate::cq::{VerbLatencySnapshot, VerbLatencyStats};
+use crate::cq::{Telemetry, VerbLatencySnapshot};
 use crate::error::{RdmaError, RdmaResult};
 use crate::fault::FaultInjector;
 use crate::flight::{FabricClock, FlightTap, VerbSink};
 use crate::latency::LatencyModel;
 use crate::mem::{MemoryNode, MAX_ENDPOINTS};
-use crate::qp::{OpCounters, OpCountersSnapshot, QueuePair};
+use crate::qp::{OpCountersSnapshot, QueuePair};
 use crate::rpc::{CtrlClient, CtrlService};
 use crate::stripe::QpStripe;
 
@@ -46,9 +46,6 @@ impl Default for FabricConfig {
 pub struct Fabric {
     nodes: Vec<Arc<MemoryNode>>,
     ctrl: Vec<CtrlClient>,
-    /// Per-node aggregate verb counters; every QP created towards a node
-    /// shares that node's counter block, so totals survive QP teardown.
-    node_counters: Vec<Arc<OpCounters>>,
     next_endpoint: AtomicU32,
     latency: LatencyModel,
     /// Optional chaos model; when absent, queue pairs carry no chaos
@@ -65,41 +62,44 @@ pub struct Fabric {
     /// Striped bundles handed out so far — guards the chaos install
     /// ordering (`install_chaos` debug-asserts this is still zero).
     stripes_created: AtomicU64,
-    /// Fabric-wide post→completion latency histograms and the in-flight
-    /// verb gauge, shared by every QP (admin QPs included).
-    verb_stats: Arc<VerbLatencyStats>,
+    /// Post→completion latency histograms, the in-flight verb gauge and
+    /// the per-node verb counters, one shard per connected endpoint
+    /// (admin QPs included). A QP writes its endpoint's shard only; the
+    /// snapshot functions below sum the shards, and an endpoint whose
+    /// last QP dropped has been folded into the registry's retired
+    /// totals, so counts survive QP teardown.
+    telemetry: Arc<Telemetry>,
 }
 
 impl Fabric {
     pub fn new(config: FabricConfig) -> Arc<Self> {
         let mut nodes = Vec::with_capacity(config.memory_nodes as usize);
         let mut ctrl = Vec::with_capacity(config.memory_nodes as usize);
-        let mut node_counters = Vec::with_capacity(config.memory_nodes as usize);
         for i in 0..config.memory_nodes {
             let node = Arc::new(MemoryNode::new(NodeId(i), config.capacity_per_node));
             let svc = CtrlService::spawn(Arc::clone(&node));
             ctrl.push(CtrlClient { tx: svc.tx });
             nodes.push(node);
-            node_counters.push(Arc::new(OpCounters::default()));
         }
         Arc::new(Fabric {
             nodes,
             ctrl,
-            node_counters,
             next_endpoint: AtomicU32::new(0),
             latency: config.latency,
             chaos: RwLock::new(None),
             clock: FabricClock::new(),
             flight: RwLock::new(None),
             stripes_created: AtomicU64::new(0),
-            verb_stats: Arc::new(VerbLatencyStats::default()),
+            telemetry: Telemetry::new(config.memory_nodes as usize),
         })
     }
 
     /// Snapshot of the fabric-wide post→completion verb-latency
-    /// histograms plus the in-flight gauge and its high-water mark.
+    /// histograms plus the in-flight gauge — both summed over every
+    /// endpoint, live or gone — and the gauge's high-water mark, which is
+    /// the deepest any *one* endpoint has been.
     pub fn verb_stats(&self) -> VerbLatencySnapshot {
-        self.verb_stats.snapshot()
+        self.telemetry.totals().verb_snapshot()
     }
 
     /// The fabric's epoch clock. All flight-recorder timestamps are ns
@@ -185,7 +185,6 @@ impl Fabric {
         latency: LatencyModel,
     ) -> RdmaResult<QueuePair> {
         let node = Arc::clone(self.node(node)?);
-        let counters = Arc::clone(&self.node_counters[node.id().0 as usize]);
         let chaos = self.chaos.read().as_ref().map(|m| m.link(endpoint.0, node.id().0));
         let flight = self
             .flight
@@ -197,11 +196,10 @@ impl Fabric {
             endpoint,
             injector,
             latency,
-            counters,
+            self.telemetry.lease(endpoint.0),
             chaos,
             flight,
             self.clock,
-            Arc::clone(&self.verb_stats),
         ))
     }
 
@@ -245,17 +243,15 @@ impl Fabric {
         injector: Arc<FaultInjector>,
     ) -> RdmaResult<QueuePair> {
         let node = Arc::clone(self.node(node)?);
-        let counters = Arc::clone(&self.node_counters[node.id().0 as usize]);
         Ok(QueuePair::new(
             node,
             endpoint,
             injector,
             LatencyModel::zero(),
-            counters,
+            self.telemetry.lease(endpoint.0),
             None,
             None,
             self.clock,
-            Arc::clone(&self.verb_stats),
         ))
     }
 
@@ -263,23 +259,21 @@ impl Fabric {
     /// across every QP (live or torn down).
     pub fn node_counters(&self, node: NodeId) -> RdmaResult<OpCountersSnapshot> {
         self.node(node)?; // validate id
-        Ok(self.node_counters[node.0 as usize].snapshot())
+        Ok(self.telemetry.totals().nodes[node.0 as usize])
     }
 
     /// Per-node verb counters for the whole fabric, in node-id order.
     pub fn per_node_counters(&self) -> Vec<(NodeId, OpCountersSnapshot)> {
-        self.nodes
-            .iter()
-            .zip(self.node_counters.iter())
-            .map(|(n, c)| (n.id(), c.snapshot()))
-            .collect()
+        self.nodes.iter().map(|n| n.id()).zip(self.telemetry.totals().nodes).collect()
     }
 
     /// Fabric-wide verb counters: the sum over all memory nodes.
     pub fn total_counters(&self) -> OpCountersSnapshot {
-        self.node_counters
+        self.telemetry
+            .totals()
+            .nodes
             .iter()
-            .fold(OpCountersSnapshot::default(), |acc, c| acc.plus(&c.snapshot()))
+            .fold(OpCountersSnapshot::default(), |acc, c| acc.plus(c))
     }
 
     /// Control-path client for `node` (wimpy-core RPC).

@@ -11,7 +11,8 @@
 //! Cost discipline mirrors [`crate::chaos::ChaosLink`]: a QP with no tap
 //! pays nothing; a tap whose sink is disabled pays exactly one atomic
 //! load per verb ([`VerbSink::enabled`]). Only an enabled sink pays the
-//! two clock reads and the dynamic dispatch.
+//! completion's clock read and the dynamic dispatch (the span's start is
+//! the post's own timestamp).
 //!
 //! All timestamps are nanosecond offsets from the fabric's epoch
 //! ([`FabricClock`]), never `Instant`s — so events from every
@@ -39,6 +40,14 @@ impl FabricClock {
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The reading this clock showed (or will show) at `t`; 0 for
+    /// instants before the epoch. Lets a caller that already holds an
+    /// `Instant` stamp it without a second clock read.
+    #[inline]
+    pub fn ns_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 }
 
@@ -143,15 +152,12 @@ impl FlightTap {
         FlightTap { sink, clock, endpoint, node }
     }
 
-    /// Start timing a verb: `None` (one atomic load) when the sink is
-    /// disabled, otherwise the start timestamp.
+    /// Start timing a verb posted at fabric time `now_ns`: `None` (one
+    /// atomic load) when the sink is disabled, otherwise the start
+    /// timestamp.
     #[inline]
-    pub(crate) fn begin(&self) -> Option<u64> {
-        if self.sink.enabled() {
-            Some(self.clock.now_ns())
-        } else {
-            None
-        }
+    pub(crate) fn begin(&self, now_ns: u64) -> Option<u64> {
+        self.sink.enabled().then_some(now_ns)
     }
 
     /// Complete a span started by [`FlightTap::begin`].

@@ -5,7 +5,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::chaos::{ChaosLink, ChaosVerdict};
-use crate::cq::{Completion, PendingEntry, PendingState, VerbLatencyStats, WorkId};
+use crate::cq::{Completion, PendingEntry, PendingState, ShardLease, WorkId};
 use crate::error::{RdmaError, RdmaResult, TimeoutApplied};
 use crate::fabric::EndpointId;
 use crate::fault::{CrashAction, FaultInjector};
@@ -15,7 +15,10 @@ use crate::mem::MemoryNode;
 
 /// Per-QP verb counters. The protocol crates assert round-trip counts with
 /// these (e.g. Pandora's "f+1 log writes per transaction" claim, §3.1.4).
+/// Aligned so that the counters of two queue pairs (or of two nodes in
+/// one telemetry shard) never share a cache line.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct OpCounters {
     pub reads: AtomicU64,
     pub writes: AtomicU64,
@@ -99,10 +102,14 @@ pub struct QueuePair {
     endpoint: EndpointId,
     injector: Arc<FaultInjector>,
     latency: LatencyModel,
+    /// This QP's own verb counters.
     counters: Arc<OpCounters>,
-    /// Fabric-owned per-node aggregate, shared by every QP to this node
-    /// (see `Fabric::node_counters`).
-    node_counters: Arc<OpCounters>,
+    /// This QP's lease on its endpoint's telemetry shard — latency
+    /// histograms, in-flight gauge, and the endpoint's per-node verb
+    /// counters — shared with the endpoint's other QPs only. The fabric
+    /// sums the shards at snapshot time (see `Fabric::verb_stats`,
+    /// `Fabric::node_counters`).
+    telemetry: ShardLease,
     /// Per-link chaos handle; `None` (the default) costs nothing.
     chaos: Option<ChaosLink>,
     /// Per-link flight-recorder tap; `None` (the default) costs nothing,
@@ -110,8 +117,6 @@ pub struct QueuePair {
     flight: Option<FlightTap>,
     /// Fabric clock for `posted_at`/`completed_at` stamps.
     clock: FabricClock,
-    /// Fabric-wide post→completion latency stats + in-flight gauge.
-    stats: Arc<VerbLatencyStats>,
     /// Pending completions, FIFO in post order.
     pending: Mutex<PendingState>,
 }
@@ -123,11 +128,10 @@ impl QueuePair {
         endpoint: EndpointId,
         injector: Arc<FaultInjector>,
         latency: LatencyModel,
-        node_counters: Arc<OpCounters>,
+        telemetry: ShardLease,
         chaos: Option<ChaosLink>,
         flight: Option<FlightTap>,
         clock: FabricClock,
-        stats: Arc<VerbLatencyStats>,
     ) -> Self {
         QueuePair {
             node,
@@ -135,11 +139,10 @@ impl QueuePair {
             injector,
             latency,
             counters: Arc::new(OpCounters::default()),
-            node_counters,
+            telemetry,
             chaos,
             flight,
             clock,
-            stats,
             pending: Mutex::new(PendingState::default()),
         }
     }
@@ -161,9 +164,16 @@ impl QueuePair {
         Arc::clone(&self.injector)
     }
 
+    /// The two counter blocks every verb bumps: this QP's own and its
+    /// endpoint's aggregate for the target node.
+    #[inline]
+    fn counter_blocks(&self) -> [&OpCounters; 2] {
+        [&self.counters, self.telemetry.node(self.node.id().0)]
+    }
+
     #[inline]
     fn count_read(&self, bytes: u64) {
-        for c in [&self.counters, &self.node_counters] {
+        for c in self.counter_blocks() {
             c.reads.fetch_add(1, Ordering::Relaxed);
             c.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         }
@@ -171,7 +181,7 @@ impl QueuePair {
 
     #[inline]
     fn count_write(&self, bytes: u64) {
-        for c in [&self.counters, &self.node_counters] {
+        for c in self.counter_blocks() {
             c.writes.fetch_add(1, Ordering::Relaxed);
             c.bytes_written.fetch_add(bytes, Ordering::Relaxed);
         }
@@ -256,9 +266,11 @@ impl QueuePair {
         effect: impl FnOnce(CrashAction, ChaosVerdict) -> RdmaResult<(u64, Option<Vec<u8>>)>,
     ) -> RdmaResult<WorkId> {
         let mut st = self.pending.lock();
-        let flight_start = self.flight.as_ref().and_then(FlightTap::begin);
-        let posted_ns = self.clock.now_ns();
+        // One clock read serves the deadline, the fabric-clock stamp and
+        // the flight span's start.
         let now = Instant::now();
+        let posted_ns = self.clock.ns_at(now);
+        let flight_start = self.flight.as_ref().and_then(|tap| tap.begin(posted_ns));
         let (action, verdict) = match self.gate_posted() {
             Ok(g) => g,
             Err(e) => {
@@ -279,7 +291,7 @@ impl QueuePair {
         let lat_ns = deadline.saturating_duration_since(now).as_nanos() as u64;
         let work_id = WorkId(st.next_work_id);
         st.next_work_id += 1;
-        self.stats.on_post(kind, lat_ns);
+        self.telemetry.on_post(kind, lat_ns);
         st.entries.push_back(PendingEntry {
             work_id,
             kind,
@@ -297,7 +309,7 @@ impl QueuePair {
     /// emitting its flight span (post→completion) and releasing the
     /// in-flight gauge.
     fn deliver(&self, e: PendingEntry) -> Completion {
-        self.stats.on_complete();
+        self.telemetry.on_complete(1);
         let (result, data) = match e.result {
             Ok((v, d)) => (Ok(v), d),
             Err(err) => (Err(err), None),
@@ -318,13 +330,27 @@ impl QueuePair {
     /// Deliver every completion whose deadline has passed, in post order.
     /// Non-blocking.
     pub fn poll(&self) -> Vec<Completion> {
-        let now = Instant::now();
-        let ripe: Vec<PendingEntry> = {
-            let mut st = self.pending.lock();
-            let n = st.entries.iter().take_while(|e| e.deadline <= now).count();
-            st.entries.drain(..n).collect()
-        };
-        ripe.into_iter().map(|e| self.deliver(e)).collect()
+        let mut st = self.pending.lock();
+        let n = st.ripe(Instant::now());
+        if n == 0 {
+            return Vec::new();
+        }
+        st.entries.drain(..n).map(|e| self.deliver(e)).collect()
+    }
+
+    /// Deliver the first `n` pending entries: `id`'s completion is
+    /// returned, the others are parked in `claimed` for their own takers.
+    fn deliver_front(&self, st: &mut PendingState, n: usize, id: WorkId) -> Option<Completion> {
+        let mut wanted = None;
+        for e in st.entries.drain(..n) {
+            let c = self.deliver(e);
+            if c.work_id == id {
+                wanted = Some(c);
+            } else {
+                st.claimed.push(c);
+            }
+        }
+        wanted
     }
 
     /// Block (pace) until every posted verb has completed, then deliver
@@ -371,17 +397,7 @@ impl QueuePair {
             pace_until(target);
             let mut st = self.pending.lock();
             let n = st.entries.iter().position(|e| e.work_id == id).map(|p| p + 1).unwrap_or(0);
-            let drained: Vec<PendingEntry> = st.entries.drain(..n).collect();
-            let mut wanted = None;
-            for e in drained {
-                let c = self.deliver(e);
-                if c.work_id == id {
-                    wanted = Some(c);
-                } else {
-                    st.claimed.push(c);
-                }
-            }
-            if let Some(c) = wanted {
+            if let Some(c) = self.deliver_front(&mut st, n, id) {
                 return c;
             }
             // A concurrent waiter drained `id` between our deadline
@@ -401,23 +417,15 @@ impl QueuePair {
     /// scheduler's posted verbs can coexist without losing completions
     /// to the claimed buffer.
     pub fn try_take(&self, id: WorkId) -> Option<Completion> {
-        let now = Instant::now();
         let mut st = self.pending.lock();
         if let Some(p) = st.claimed.iter().position(|c| c.work_id == id) {
             return Some(st.claimed.swap_remove(p));
         }
-        let n = st.entries.iter().take_while(|e| e.deadline <= now).count();
-        let drained: Vec<PendingEntry> = st.entries.drain(..n).collect();
-        let mut wanted = None;
-        for e in drained {
-            let c = self.deliver(e);
-            if c.work_id == id {
-                wanted = Some(c);
-            } else {
-                st.claimed.push(c);
-            }
+        let n = st.ripe(Instant::now());
+        if n == 0 {
+            return None;
         }
-        wanted
+        self.deliver_front(&mut st, n, id)
     }
 
     /// Number of posted-but-undelivered verbs on this QP.
@@ -563,8 +571,9 @@ impl QueuePair {
             }
             self.chaos_pre(verdict)?;
             let prev = self.node.cas(addr, expected, new)?;
-            self.counters.cas.fetch_add(1, Ordering::Relaxed);
-            self.node_counters.cas.fetch_add(1, Ordering::Relaxed);
+            for c in self.counter_blocks() {
+                c.cas.fetch_add(1, Ordering::Relaxed);
+            }
             // An ambiguous CAS is the nastiest RDMA failure: the swap may
             // have happened, but the previous value never arrives. Callers
             // must re-read the word to find out (see core's `cas_resolved`).
@@ -606,8 +615,9 @@ impl QueuePair {
             self.chaos_pre(verdict)?;
             // The read-back that implements the flush.
             self.node.copy_out(addr & !7, &mut [0u8; 8])?;
-            self.counters.flushes.fetch_add(1, Ordering::Relaxed);
-            self.node_counters.flushes.fetch_add(1, Ordering::Relaxed);
+            for c in self.counter_blocks() {
+                c.flushes.fetch_add(1, Ordering::Relaxed);
+            }
             self.chaos_post(verdict)?;
             if action == CrashAction::CrashAfter {
                 return Err(RdmaError::Crashed);
@@ -625,8 +635,9 @@ impl QueuePair {
             }
             self.chaos_pre(verdict)?;
             let prev = self.node.faa(addr, add)?;
-            self.counters.faa.fetch_add(1, Ordering::Relaxed);
-            self.node_counters.faa.fetch_add(1, Ordering::Relaxed);
+            for c in self.counter_blocks() {
+                c.faa.fetch_add(1, Ordering::Relaxed);
+            }
             self.chaos_post(verdict)?;
             if action == CrashAction::CrashAfter {
                 return Err(RdmaError::Crashed);
@@ -646,11 +657,9 @@ impl QueuePair {
 
 impl Drop for QueuePair {
     fn drop(&mut self) {
-        // Undelivered completions still occupy the fabric-wide in-flight
+        // Undelivered completions still occupy the endpoint's in-flight
         // gauge; release them (a crashed coordinator abandons its CQ).
-        for _ in 0..self.pending.lock().entries.len() {
-            self.stats.on_complete();
-        }
+        self.telemetry.on_complete(self.pending.lock().entries.len() as u64);
     }
 }
 
@@ -750,14 +759,13 @@ mod tests {
 
     #[test]
     fn crash_before_op_leaves_memory_untouched() {
-        let (_f, qp) = setup();
+        let (f, qp) = setup();
         qp.injector().arm(CrashPlan { at_op: 1, mode: CrashMode::BeforeOp });
         assert_eq!(qp.write_u64(0, 7), Err(RdmaError::Crashed));
-        // Inspect through a fresh, uncrashed QP.
-        let (f2, _) = setup();
-        drop(f2);
-        // The original fabric's memory must still be zero.
-        // (Re-read through a second endpoint of the same fabric.)
+        assert_eq!(qp.counters().snapshot().writes, 0, "a verb that never ran is not counted");
+        // Inspect through a second, uncrashed endpoint of the same fabric.
+        let obs = f.qp_admin(f.register_endpoint(), NodeId(0), FaultInjector::new()).unwrap();
+        assert_eq!(obs.read_u64(0).unwrap(), 0, "the write must not have reached memory");
     }
 
     #[test]
@@ -1005,5 +1013,92 @@ mod tests {
         assert_eq!(f.verb_stats().verbs_in_flight, 2);
         drop(qp);
         assert_eq!(f.verb_stats().verbs_in_flight, 0);
+    }
+
+    #[test]
+    fn sharded_telemetry_sums_exactly_and_survives_drops() {
+        use crate::stripe::QpStripe;
+        const THREADS: u64 = 4;
+        let f = Fabric::new(FabricConfig {
+            memory_nodes: 2,
+            capacity_per_node: 1 << 16,
+            latency: LatencyModel::zero(),
+        });
+        // Each thread: its own endpoint, a 3-lane stripe to node
+        // `t % 2`, and a fixed mix on every lane — with `t + 1` extra
+        // posts left pending on lane 0, so every endpoint reaches a
+        // different depth.
+        let stripes: Vec<QpStripe> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let f = &f;
+                    scope.spawn(move || {
+                        let node = NodeId((t % 2) as u16);
+                        let s = f
+                            .qp_stripe(f.register_endpoint(), node, FaultInjector::new(), 3)
+                            .unwrap();
+                        for (l, lane) in s.lanes().iter().enumerate() {
+                            let base = (t * 3 + l as u64) * 64;
+                            for i in 0..50 + t {
+                                lane.write(base, &[i as u8; 24]).unwrap();
+                                lane.read_u64(base).unwrap();
+                                lane.cas(base + 32, i, i + 1).unwrap();
+                                lane.faa(base + 40, 2).unwrap();
+                                lane.flush(base).unwrap();
+                            }
+                        }
+                        for _ in 0..=t {
+                            s.lane(0).post_read(0, 8).unwrap();
+                        }
+                        s
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+
+        let lane_sum = |stripes: &[QpStripe], node: u16| {
+            stripes
+                .iter()
+                .filter(|s| s.node_id().0 == node)
+                .fold(OpCountersSnapshot::default(), |a, s| a.plus(&s.counters_snapshot()))
+        };
+        let per_node = [lane_sum(&stripes, 0), lane_sum(&stripes, 1)];
+        let total = per_node[0].plus(&per_node[1]);
+        let pending: u64 = (1..=THREADS).sum();
+        let check = |f: &Fabric, in_flight: u64| {
+            let v = f.verb_stats();
+            assert_eq!(v.total_posted(), total.total_ops());
+            let by_kind = [total.reads, total.writes, total.cas, total.faa, total.flushes];
+            assert_eq!(v.kinds.map(|k| k.count), by_kind);
+            assert_eq!(
+                f.per_node_counters(),
+                vec![(NodeId(0), per_node[0]), (NodeId(1), per_node[1])]
+            );
+            assert_eq!(f.node_counters(NodeId(1)).unwrap(), per_node[1]);
+            assert_eq!(f.total_counters(), total);
+            assert_eq!(v.verbs_in_flight, in_flight);
+            assert_eq!(v.in_flight_high_water, THREADS, "the deepest single endpoint's depth");
+        };
+        assert_eq!(total.total_ops(), (0..THREADS).map(|t| 3 * 5 * (50 + t) + t + 1).sum::<u64>());
+        check(&f, pending);
+
+        // Drop half the stripes — the deepest one among them — with
+        // their posted reads still pending: their endpoints retire, the
+        // totals stay, the gauge keeps what the surviving lanes hold.
+        let mut survivors = stripes;
+        drop(survivors.split_off(2));
+        let surviving: u64 = survivors.iter().map(|s| s.in_flight() as u64).sum();
+        assert!(surviving > 0 && surviving < pending);
+        check(&f, surviving);
+        drop(survivors);
+        check(&f, 0);
+    }
+
+    #[test]
+    fn per_thread_telemetry_is_cache_line_aligned() {
+        assert!(std::mem::align_of::<crate::cq::EndpointShard>() >= 128);
+        assert!(std::mem::align_of::<OpCounters>() >= 128);
+        assert!(std::mem::align_of::<FaultInjector>() >= 128);
     }
 }
