@@ -122,9 +122,10 @@ pub(crate) struct Pend {
 }
 
 impl Pend {
-    /// Non-blocking fetch of this verb's completion.
-    pub fn try_take(&self, co: &Coordinator) -> Option<Completion> {
-        co.stripe(self.node).lane(self.lane).try_take(self.id)
+    /// Non-blocking fetch of this verb's completion, if it has ripened
+    /// by `now` (the poller's one clock reading per slot visit).
+    pub fn try_take(&self, co: &Coordinator, now: Instant) -> Option<Completion> {
+        co.stripe(self.node).lane(self.lane).try_take(self.id, now)
     }
 }
 
@@ -500,14 +501,14 @@ impl Commit {
         }
     }
 
-    /// Polling driver: harvest whatever has ripened. Returns whether
-    /// any completion arrived.
-    pub fn poll(&mut self, co: &Coordinator) -> bool {
+    /// Polling driver: harvest whatever has ripened by `now`. Returns
+    /// whether any completion arrived.
+    pub fn poll(&mut self, co: &Coordinator, now: Instant) -> bool {
         let mut progressed = false;
         let mut j = 0;
         while j < self.pending.len() {
             let p = self.pending[j];
-            match p.try_take(co) {
+            match p.try_take(co, now) {
                 Some(c) => {
                     self.items[p.item].record(c);
                     self.pending.swap_remove(j);

@@ -447,10 +447,15 @@ impl Coordinator {
             let mut progressed = false;
             for slot in slots.iter_mut() {
                 let Some(mut s) = slot.take() else { continue };
+                // One clock read per slot visit serves every pending
+                // verb of the slot: a reading gone stale while the slot
+                // is processed leaves a completion for the next pass,
+                // it never delivers one early.
+                let now = Instant::now();
                 let mut j = 0;
                 while j < s.exec_pending.len() {
                     let (p, role) = s.exec_pending[j];
-                    match p.try_take(self) {
+                    match p.try_take(self, now) {
                         Some(c) => {
                             record_execute(&mut s.plan[p.item], role, c);
                             s.exec_pending.swap_remove(j);
@@ -459,7 +464,7 @@ impl Coordinator {
                         None => j += 1,
                     }
                 }
-                progressed |= s.c.poll(self);
+                progressed |= s.c.poll(self, now);
                 if s.exec_pending.is_empty() && !s.c.in_flight() {
                     let ops = &reqs[s.req].ops;
                     advance(self, &mut s, ops);
@@ -529,14 +534,13 @@ fn finish_slot(co: &Coordinator, s: &SlotTxn, result: &Result<TxnOutcome, TxnErr
 /// Does the request's undo entry exceed one log lane? (Checked before
 /// admission; see `dkvs::log::entry_encoded_size`.)
 fn oversized(co: &Coordinator, ops: &[TxnOp]) -> bool {
-    let mut keys: Vec<(TableId, u64)> = Vec::new();
-    for op in ops {
-        let Some(t) = op.write_target() else { continue };
-        if !keys.contains(&t) {
-            keys.push(t);
-        }
-    }
-    let lens: Vec<usize> = keys.iter().map(|&(t, _)| co.map().layout(t).value_padded()).collect();
+    // One undo record per distinct written key: count an op only if no
+    // earlier op writes its key.
+    let lens = ops.iter().enumerate().filter_map(|(i, op)| {
+        let (table, key) = op.write_target()?;
+        let repeat = ops[..i].iter().any(|o| o.write_target() == Some((table, key)));
+        (!repeat).then(|| co.map().layout(table).value_padded())
+    });
     entry_encoded_size(lens) > LOG_LANE_BYTES as usize
 }
 

@@ -1,11 +1,12 @@
 //! Simulation test-kit: one-call cluster construction used by tests,
 //! examples, the litmus framework, and the benchmark harness.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dkvs::{ClusterMapBuilder, SlotLayout, TableDef, TableId, VersionWord};
 use rdma_sim::{
-    ChaosConfig, ChaosModel, Fabric, FabricConfig, FaultInjector, LatencyModel, RdmaResult,
+    ChaosConfig, ChaosModel, EndpointId, Fabric, FabricConfig, FaultInjector, LatencyModel,
+    QueuePair, RdmaError, RdmaResult,
 };
 
 use crate::config::{BugFlags, ProtocolKind, SystemConfig};
@@ -13,6 +14,7 @@ use crate::context::SharedContext;
 use crate::coordinator::Coordinator;
 use crate::fd::{CoordinatorLease, FailureDetector};
 use crate::flight::FlightRecorder;
+use crate::txn::TxnError;
 
 /// Builder for a full simulated DKVS: fabric + layout + shared context +
 /// failure detector.
@@ -137,7 +139,7 @@ impl SimClusterBuilder {
             rec
         });
         let fd = FailureDetector::new(Arc::clone(&ctx))?;
-        Ok(SimCluster { ctx, fd, chaos, flight })
+        Ok(SimCluster { ctx, fd, chaos, flight, inspection: OnceLock::new() })
     }
 }
 
@@ -149,6 +151,19 @@ pub struct SimCluster {
     pub chaos: Option<Arc<ChaosModel>>,
     /// The installed flight recorder, when the builder requested one.
     pub flight: Option<Arc<FlightRecorder>>,
+    /// What [`SimCluster::raw_slot`] and [`SimCluster::peek`] connect
+    /// through, created on first use and kept: the fabric never recycles
+    /// an endpoint id, so an endpoint per inspection call would exhaust
+    /// them (a soak test makes thousands).
+    inspection: OnceLock<Inspection>,
+}
+
+struct Inspection {
+    /// One admin QP per memory node, all on one endpoint that no
+    /// coordinator ever registers — so no failure detector can revoke it.
+    admin: Vec<QueuePair>,
+    /// The endpoint every `peek` coordinator connects at.
+    peek_endpoint: EndpointId,
 }
 
 impl SimCluster {
@@ -219,12 +234,46 @@ impl SimCluster {
     /// Goes through a fresh read-only transaction so it sees only
     /// consistent state.
     pub fn peek(&self, table: TableId, key: u64) -> Option<Vec<u8>> {
-        let (mut co, lease) = self.coordinator().ok()?;
-        let result = co.run(|txn| txn.read(table, key));
-        // Throwaway coordinator: return its id/log slot to the pool.
-        self.fd.deregister(lease.coord_id);
-        co.gate().mark_dead();
-        result.ok()?.0
+        let endpoint = self.inspection().peek_endpoint;
+        // A running FD monitor may suspect a slow peek — the lease never
+        // beats — and terminate the endpoint's links. The next peek
+        // rejoins the way a falsely suspected server does: restore the
+        // endpoint, take a fresh coordinator-id, try once more.
+        for _ in 0..2 {
+            let lease = self.fd.register(endpoint);
+            let mut co =
+                Coordinator::connect_at(Arc::clone(&self.ctx), lease.coord_id, endpoint).ok()?;
+            let result = co.run(|txn| txn.read(table, key));
+            // Throwaway coordinator: return its id/log slot to the pool.
+            self.fd.deregister(lease.coord_id);
+            co.gate().mark_dead();
+            match result {
+                Err(TxnError::Rdma(RdmaError::AccessRevoked)) => {
+                    self.ctx.fabric.restore_everywhere(endpoint);
+                }
+                other => return other.ok()?.0,
+            }
+        }
+        None
+    }
+
+    fn inspection(&self) -> &Inspection {
+        self.inspection.get_or_init(|| {
+            let fabric = &self.ctx.fabric;
+            let endpoint = fabric.register_endpoint();
+            let admin = fabric
+                .node_ids()
+                .map(|n| fabric.qp_admin(endpoint, n, FaultInjector::new()))
+                .collect::<RdmaResult<_>>()
+                .expect("admin QP to a node of this fabric");
+            Inspection { admin, peek_endpoint: fabric.register_endpoint() }
+        })
+    }
+
+    /// The inspection endpoint's admin QP to `node` (zero latency, no
+    /// chaos, never taped).
+    fn admin_qp(&self, node: rdma_sim::NodeId) -> Option<&QueuePair> {
+        self.inspection().admin.get(node.0 as usize)
     }
 
     /// Raw (non-transactional) inspection of a key's slot on one replica:
@@ -235,9 +284,7 @@ impl SimCluster {
         key: u64,
         node: rdma_sim::NodeId,
     ) -> Option<(dkvs::LockWord, VersionWord, Vec<u8>)> {
-        let endpoint = self.ctx.fabric.register_endpoint();
-        let injector = FaultInjector::new();
-        let qp = self.ctx.fabric.qp_admin(endpoint, node, injector).ok()?;
+        let qp = self.admin_qp(node)?;
         let def = self.ctx.map.table(table);
         let layout = def.layout();
         let home = def.bucket_for(key);
@@ -283,8 +330,7 @@ impl SimCluster {
         bucket: u64,
         node: rdma_sim::NodeId,
     ) -> Option<u32> {
-        let endpoint = self.ctx.fabric.register_endpoint();
-        let qp = self.ctx.fabric.qp_admin(endpoint, node, FaultInjector::new()).ok()?;
+        let qp = self.admin_qp(node)?;
         let def = self.ctx.map.table(table);
         let layout = def.layout();
         let mut buf = vec![0u8; def.bucket_bytes() as usize];
@@ -306,5 +352,54 @@ impl SimCluster {
     pub fn replica_nodes(&self, table: TableId, key: u64) -> Vec<rdma_sim::NodeId> {
         let bucket = self.bucket_of_key(table, key);
         self.ctx.map.replicas(table, bucket)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const KV: TableId = TableId(0);
+
+    fn cluster() -> SimCluster {
+        let cluster = SimCluster::builder(ProtocolKind::Pandora)
+            .capacity_per_node(16 << 20)
+            .table(TableDef::sized_for(0, "kv", 8, 128))
+            .max_coord_slots(16)
+            .build()
+            .expect("build cluster");
+        cluster
+            .bulk_load(KV, (0..16u64).map(|k| (k, k.to_le_bytes().to_vec())))
+            .expect("load");
+        cluster
+    }
+
+    #[test]
+    fn inspection_does_not_burn_endpoints() {
+        // The fabric has 4096 endpoint ids and never recycles one.
+        let cluster = cluster();
+        let node = cluster.primary_node(KV, 3);
+        for i in 0..5_000u64 {
+            let key = i % 16;
+            let (lock, _, value) = cluster.raw_slot(KV, key, node).expect("loaded key");
+            assert!(!lock.is_locked());
+            assert_eq!(value[..8], key.to_le_bytes());
+            assert_eq!(cluster.peek(KV, key), Some(key.to_le_bytes().to_vec()));
+        }
+        assert_eq!(cluster.peek(KV, 99), None);
+        // Still room for coordinators.
+        cluster.coordinator().expect("an endpoint is left");
+    }
+
+    #[test]
+    fn peek_rejoins_after_a_false_suspicion() {
+        let cluster = cluster();
+        assert!(cluster.peek(KV, 1).is_some());
+        // What a monitor that suspected a slow peek leaves behind.
+        let endpoint = cluster.inspection().peek_endpoint;
+        cluster.ctx.fabric.revoke_everywhere(endpoint);
+        assert_eq!(cluster.peek(KV, 1), Some(1u64.to_le_bytes().to_vec()));
+        // Raw inspection rides its own endpoint and never noticed.
+        assert!(cluster.raw_slot(KV, 1, cluster.primary_node(KV, 1)).is_some());
     }
 }

@@ -11,7 +11,7 @@ use rdma_sim::{Fabric, NodeId, RdmaError, RdmaResult};
 
 use crate::layout::SlotLayout;
 use crate::log::{LogRegion, LOG_REGION_BYTES};
-use crate::placement::{NodeSet, Placement};
+use crate::placement::{NodeList, NodeSet, Placement};
 use crate::table::{TableDef, TableId};
 
 struct TableMeta {
@@ -105,7 +105,7 @@ impl ClusterMap {
     }
 
     /// The f+1 designated log servers of `coord`.
-    pub fn log_servers(&self, coord: u16) -> Vec<NodeId> {
+    pub fn log_servers(&self, coord: u16) -> NodeList {
         self.placement.log_servers(coord)
     }
 

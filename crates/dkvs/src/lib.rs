@@ -37,5 +37,5 @@ pub use log::{
     entry_encoded_size, log_lane_offset, LogEntry, LogRegion, UndoRecord, LOG_LANE_BYTES,
     LOG_REGION_BYTES, TXN_LOG_LANES,
 };
-pub use placement::{NodeSet, Placement};
+pub use placement::{NodeList, NodeSet, Placement};
 pub use table::{BucketRef, SlotRef, TableDef, TableId};

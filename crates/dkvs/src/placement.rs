@@ -53,6 +53,54 @@ impl NodeSet {
     }
 }
 
+/// A short list of memory nodes held by value — what
+/// [`Placement::log_servers`] returns, once per logged transaction,
+/// without allocating. Dereferences to `[NodeId]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct NodeList {
+    /// Entries past `len` stay `NodeId(0)`, so derived equality is list
+    /// equality.
+    nodes: [NodeId; NodeSet::CAPACITY as usize],
+    len: usize,
+}
+
+impl FromIterator<NodeId> for NodeList {
+    /// Panics past [`NodeSet::CAPACITY`] nodes (a placement never has
+    /// more distinct ones).
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> NodeList {
+        let mut list = NodeList { nodes: [NodeId(0); NodeSet::CAPACITY as usize], len: 0 };
+        for n in iter {
+            list.nodes[list.len] = n;
+            list.len += 1;
+        }
+        list
+    }
+}
+
+impl std::ops::Deref for NodeList {
+    type Target = [NodeId];
+
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes[..self.len]
+    }
+}
+
+impl std::fmt::Debug for NodeList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for NodeList {
+    type Item = NodeId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<NodeId, { NodeSet::CAPACITY as usize }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.nodes.into_iter().take(self.len)
+    }
+}
+
 /// Consistent-hash placement over a fixed node universe.
 #[derive(Debug, Clone)]
 pub struct Placement {
@@ -135,8 +183,8 @@ impl Placement {
     /// The f+1 designated **log servers** for a coordinator (paper
     /// §3.1.4: all of one coordinator's logs live on the same f+1
     /// servers, so log recovery is f+1 READs).
-    pub fn log_servers(&self, coord: u16) -> Vec<NodeId> {
-        self.replicas(LOG_SALT, coord as u64)
+    pub fn log_servers(&self, coord: u16) -> NodeList {
+        self.replica_walk(LOG_SALT, coord as u64).collect()
     }
 }
 

@@ -1,5 +1,5 @@
 //! Posted-verb completion engine: work ids, completions, and the
-//! fabric's verb telemetry, sharded by endpoint.
+//! fabric's verb telemetry — one single-writer block per queue pair.
 //!
 //! The simulator executes a posted verb's *effect* eagerly at post time —
 //! crash injection, liveness/revocation checks, the chaos draw, the memory
@@ -118,9 +118,20 @@ fn kind_index(kind: VerbKind) -> usize {
     }
 }
 
-/// Lock-free log₂-bucket histogram of modeled post→completion latency for
-/// one verb kind (self-contained: the protocol crates depend on
-/// `rdma-sim`, never the reverse). The count is the sum of the buckets.
+/// Add `n` to a statistic that has exactly one writer at a time: a plain
+/// load and a plain store, no lock-prefixed read-modify-write. Every
+/// per-verb statistic of a queue pair is written this way, under the
+/// `pending` mutex its post already holds — the mutex orders successive
+/// writers (threads sharing a recovery coordinator's QP), and readers only
+/// ever take snapshots.
+#[inline]
+pub(crate) fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// Log₂-bucket histogram of modeled post→completion latency for one verb
+/// kind (self-contained: the protocol crates depend on `rdma-sim`, never
+/// the reverse). The count is the sum of the buckets.
 struct KindHist {
     buckets: [AtomicU64; 64],
     sum_ns: AtomicU64,
@@ -134,46 +145,51 @@ impl KindHist {
     #[inline]
     fn record(&self, ns: u64) {
         let bucket = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        bump(&self.buckets[bucket], 1);
+        bump(&self.sum_ns, ns);
     }
 }
 
-/// One compute endpoint's share of the fabric's telemetry: the
-/// post→completion latency histograms, the in-flight verb gauge with its
-/// high-water mark, and the endpoint's verb counters per memory node.
-///
-/// Every queue pair of an endpoint writes its endpoint's shard and no
-/// other, so coordinators on different endpoints never write a common
-/// cache line on the verb path; [`Telemetry::totals`] sums the shards
-/// when somebody asks. Latencies are recorded at post time (the modeled
-/// latency is known then), so verbs abandoned before polling still count.
+/// One queue pair's telemetry block: its verb counters — which *are* its
+/// contribution to its memory node's aggregate — and its post→completion
+/// latency histograms. Single-writer: only the QP's own post path writes
+/// it, with [`bump`], while holding the QP's `pending` mutex; the fabric
+/// sums the live blocks (plus the retired totals) when somebody asks.
+/// Latencies are recorded at post time (the modeled latency is known
+/// then), so verbs abandoned before polling still count.
 #[repr(align(128))]
-pub(crate) struct EndpointShard {
+pub(crate) struct QpStats {
+    /// `NodeId.0` of the memory node the QP targets.
+    node: u16,
+    pub(crate) counters: Arc<OpCounters>,
     kinds: [KindHist; 5],
-    in_flight: AtomicU64,
-    in_flight_high_water: AtomicU64,
-    /// Indexed by `NodeId.0`.
-    nodes: Box<[OpCounters]>,
 }
 
-impl EndpointShard {
-    fn new(memory_nodes: usize) -> EndpointShard {
-        EndpointShard {
-            kinds: std::array::from_fn(|_| KindHist::new()),
-            in_flight: AtomicU64::new(0),
-            in_flight_high_water: AtomicU64::new(0),
-            nodes: (0..memory_nodes).map(|_| OpCounters::default()).collect(),
-        }
-    }
-
-    /// A verb was posted: record its modeled latency and bump the gauge.
+impl QpStats {
     #[inline]
-    pub(crate) fn on_post(&self, kind: VerbKind, lat_ns: u64) {
+    pub(crate) fn record_latency(&self, kind: VerbKind, lat_ns: u64) {
         self.kinds[kind_index(kind)].record(lat_ns);
+    }
+}
+
+/// One compute endpoint's in-flight verb gauge — the only telemetry two
+/// queue pairs write in common, because its high-water mark is defined
+/// per endpoint (the deepest one coordinator's posted window got, across
+/// its lanes and nodes): one `fetch_add` per post, one `fetch_sub` per
+/// delivered batch.
+#[repr(align(128))]
+pub(crate) struct EndpointGauge {
+    in_flight: AtomicU64,
+    high_water: AtomicU64,
+}
+
+impl EndpointGauge {
+    /// A verb was posted.
+    #[inline]
+    pub(crate) fn on_post(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-        if now > self.in_flight_high_water.load(Ordering::Relaxed) {
-            self.in_flight_high_water.fetch_max(now, Ordering::AcqRel);
+        if now > self.high_water.load(Ordering::Relaxed) {
+            self.high_water.fetch_max(now, Ordering::AcqRel);
         }
     }
 
@@ -183,15 +199,10 @@ impl EndpointShard {
     pub(crate) fn on_complete(&self, n: u64) {
         self.in_flight.fetch_sub(n, Ordering::AcqRel);
     }
-
-    /// This endpoint's verb counters towards `node`.
-    #[inline]
-    pub(crate) fn node(&self, node: u16) -> &OpCounters {
-        &self.nodes[node as usize]
-    }
 }
 
-/// Plain sums over shards: what the fabric's snapshot functions report.
+/// Plain sums over queue pairs and endpoints: what the fabric's snapshot
+/// functions report.
 #[derive(Clone)]
 pub(crate) struct TelemetryTotals {
     buckets: [[u64; 64]; 5],
@@ -213,20 +224,21 @@ impl TelemetryTotals {
         }
     }
 
-    fn add(&mut self, shard: &EndpointShard) {
-        for (k, hist) in shard.kinds.iter().enumerate() {
+    fn add_qp(&mut self, qp: &QpStats) {
+        for (k, hist) in qp.kinds.iter().enumerate() {
             for (mine, theirs) in self.buckets[k].iter_mut().zip(&hist.buckets) {
                 *mine += theirs.load(Ordering::Relaxed);
             }
             self.sum_ns[k] += hist.sum_ns.load(Ordering::Relaxed);
         }
-        self.in_flight += shard.in_flight.load(Ordering::Acquire);
-        self.in_flight_high_water = self
-            .in_flight_high_water
-            .max(shard.in_flight_high_water.load(Ordering::Acquire));
-        for (mine, theirs) in self.nodes.iter_mut().zip(shard.nodes.iter()) {
-            *mine = mine.plus(&theirs.snapshot());
-        }
+        let node = &mut self.nodes[qp.node as usize];
+        *node = node.plus(&qp.counters.snapshot());
+    }
+
+    fn add_endpoint(&mut self, gauge: &EndpointGauge) {
+        self.in_flight += gauge.in_flight.load(Ordering::Acquire);
+        self.in_flight_high_water =
+            self.in_flight_high_water.max(gauge.high_water.load(Ordering::Acquire));
     }
 
     fn quantile_ns(&self, k: usize, count: u64, q: f64) -> u64 {
@@ -264,19 +276,22 @@ impl TelemetryTotals {
     }
 }
 
-/// The fabric's registry of telemetry shards: one live shard per
-/// endpoint that currently has a queue pair, plus the folded totals of
-/// every endpoint whose last queue pair is gone — so the registry holds
-/// as many shards as there are connected endpoints, however many have
-/// come and gone. Touched at queue-pair creation, queue-pair drop and
-/// snapshot time only; never on the verb path.
+/// The fabric's telemetry registry: the block of every live queue pair,
+/// the gauge of every endpoint that currently has one, and the folded
+/// totals of everything that is gone — so the registry holds as many
+/// blocks as there are live queue pairs, however many have come and gone
+/// (a recovery round connects and drops hundreds). Touched at queue-pair
+/// creation, queue-pair drop and snapshot time only; never on the verb
+/// path.
 pub(crate) struct Telemetry {
     inner: Mutex<TelemetryInner>,
 }
 
 struct TelemetryInner {
-    /// Endpoint id → its shard and the number of live queue pairs on it.
-    live: HashMap<u32, (Arc<EndpointShard>, usize)>,
+    next_qp: u64,
+    qps: HashMap<u64, Arc<QpStats>>,
+    /// Endpoint id → its gauge and the number of live queue pairs on it.
+    endpoints: HashMap<u32, (Arc<EndpointGauge>, usize)>,
     retired: TelemetryTotals,
 }
 
@@ -284,61 +299,80 @@ impl Telemetry {
     pub(crate) fn new(memory_nodes: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry {
             inner: Mutex::new(TelemetryInner {
-                live: HashMap::new(),
+                next_qp: 0,
+                qps: HashMap::new(),
+                endpoints: HashMap::new(),
                 retired: TelemetryTotals::new(memory_nodes),
             }),
         })
     }
 
-    /// Lease `endpoint`'s shard for one new queue pair, creating the
-    /// shard on the endpoint's first.
-    pub(crate) fn lease(self: &Arc<Self>, endpoint: u32) -> ShardLease {
+    /// Register one new queue pair from `endpoint` to `node`: a fresh
+    /// block of its own, and the endpoint's gauge (created on the
+    /// endpoint's first queue pair).
+    pub(crate) fn lease(self: &Arc<Self>, endpoint: u32, node: u16) -> QpLease {
+        let stats = Arc::new(QpStats {
+            node,
+            counters: Arc::new(OpCounters::default()),
+            kinds: std::array::from_fn(|_| KindHist::new()),
+        });
         let mut inner = self.inner.lock();
-        let memory_nodes = inner.retired.nodes.len();
-        let (shard, qps) = inner
-            .live
-            .entry(endpoint)
-            .or_insert_with(|| (Arc::new(EndpointShard::new(memory_nodes)), 0));
+        assert!((node as usize) < inner.retired.nodes.len(), "unknown memory node {node}");
+        let key = inner.next_qp;
+        inner.next_qp += 1;
+        inner.qps.insert(key, Arc::clone(&stats));
+        let (gauge, qps) = inner.endpoints.entry(endpoint).or_insert_with(|| {
+            let gauge =
+                EndpointGauge { in_flight: AtomicU64::new(0), high_water: AtomicU64::new(0) };
+            (Arc::new(gauge), 0)
+        });
         *qps += 1;
-        ShardLease { shard: Arc::clone(shard), registry: Arc::clone(self), endpoint }
+        QpLease { stats, gauge: Arc::clone(gauge), registry: Arc::clone(self), key, endpoint }
     }
 
-    /// Retired totals plus every live shard, read now.
+    /// Live `(queue pair blocks, endpoint gauges)` in the registry.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> (usize, usize) {
+        let inner = self.inner.lock();
+        (inner.qps.len(), inner.endpoints.len())
+    }
+
+    /// Retired totals plus every live block and gauge, read now.
     pub(crate) fn totals(&self) -> TelemetryTotals {
         let inner = self.inner.lock();
         let mut totals = inner.retired.clone();
-        for (shard, _) in inner.live.values() {
-            totals.add(shard);
+        for qp in inner.qps.values() {
+            totals.add_qp(qp);
+        }
+        for (gauge, _) in inner.endpoints.values() {
+            totals.add_endpoint(gauge);
         }
         totals
     }
 }
 
-/// A queue pair's hold on its endpoint's shard. Dropping the endpoint's
-/// last lease folds the shard into the registry's retired totals.
-pub(crate) struct ShardLease {
-    shard: Arc<EndpointShard>,
+/// A queue pair's registration: its own block and its endpoint's gauge.
+/// Dropping it folds the block into the registry's retired totals, and
+/// the gauge too when it was the endpoint's last.
+pub(crate) struct QpLease {
+    pub(crate) stats: Arc<QpStats>,
+    pub(crate) gauge: Arc<EndpointGauge>,
     registry: Arc<Telemetry>,
+    key: u64,
     endpoint: u32,
 }
 
-impl std::ops::Deref for ShardLease {
-    type Target = EndpointShard;
-
-    #[inline]
-    fn deref(&self) -> &EndpointShard {
-        &self.shard
-    }
-}
-
-impl Drop for ShardLease {
+impl Drop for QpLease {
     fn drop(&mut self) {
         let mut inner = self.registry.inner.lock();
-        let TelemetryInner { live, retired } = &mut *inner;
-        let Entry::Occupied(mut entry) = live.entry(self.endpoint) else { return };
+        let TelemetryInner { qps, endpoints, retired, .. } = &mut *inner;
+        if let Some(stats) = qps.remove(&self.key) {
+            retired.add_qp(&stats);
+        }
+        let Entry::Occupied(mut entry) = endpoints.entry(self.endpoint) else { return };
         entry.get_mut().1 -= 1;
         if entry.get().1 == 0 {
-            retired.add(&entry.remove().0);
+            retired.add_endpoint(&entry.remove().0);
         }
     }
 }
@@ -378,13 +412,18 @@ pub struct VerbKindLatency {
 mod tests {
     use super::*;
 
+    fn post(lease: &QpLease, kind: VerbKind, lat_ns: u64) {
+        lease.stats.record_latency(kind, lat_ns);
+        lease.gauge.on_post();
+    }
+
     #[test]
-    fn shard_tracks_posts_and_high_water() {
+    fn lease_tracks_posts_and_high_water() {
         let reg = Telemetry::new(1);
-        let lease = reg.lease(0);
-        lease.on_post(VerbKind::Read, 2_000);
-        lease.on_post(VerbKind::Read, 2_000);
-        lease.on_post(VerbKind::Cas, 1_000);
+        let lease = reg.lease(0, 0);
+        post(&lease, VerbKind::Read, 2_000);
+        post(&lease, VerbKind::Read, 2_000);
+        post(&lease, VerbKind::Cas, 1_000);
         let snap = reg.totals().verb_snapshot();
         assert_eq!(snap.verbs_in_flight, 3);
         assert_eq!(snap.in_flight_high_water, 3);
@@ -392,7 +431,7 @@ mod tests {
         assert_eq!(snap.kinds[0].count, 2);
         assert_eq!(snap.kinds[2].count, 1);
         assert_eq!(snap.kinds[0].mean_ns, 2_000);
-        lease.on_complete(3);
+        lease.gauge.on_complete(3);
         let snap = reg.totals().verb_snapshot();
         assert_eq!(snap.verbs_in_flight, 0);
         assert_eq!(snap.in_flight_high_water, 3, "high water survives drain");
@@ -401,9 +440,9 @@ mod tests {
     #[test]
     fn kind_quantiles_are_log2_upper_edges() {
         let reg = Telemetry::new(1);
-        let lease = reg.lease(0);
+        let lease = reg.lease(0, 0);
         for _ in 0..100 {
-            lease.on_post(VerbKind::Write, 100_000); // bucket [2^16, 2^17)
+            post(&lease, VerbKind::Write, 100_000); // bucket [2^16, 2^17)
         }
         let p50 = reg.totals().verb_snapshot().kinds[1].p50_ns;
         assert!((100_000..=200_000).contains(&p50));
@@ -413,18 +452,27 @@ mod tests {
     fn retired_endpoints_keep_their_counts_and_leave_the_registry() {
         let reg = Telemetry::new(2);
         for endpoint in 0..100u32 {
-            let mut leases: Vec<ShardLease> = (0..3).map(|_| reg.lease(endpoint)).collect();
-            leases[0].on_post(VerbKind::Faa, 500);
-            leases[1].node(1).faa.fetch_add(1, Ordering::Relaxed);
-            leases[0].on_complete(1);
+            // Three queue pairs per endpoint, the middle one to node 1.
+            let mut leases: Vec<QpLease> = (0..3u16).map(|l| reg.lease(endpoint, l % 2)).collect();
+            post(&leases[0], VerbKind::Faa, 500);
+            bump(&leases[1].stats.counters.faa, 1);
+            post(&leases[2], VerbKind::Read, 700);
+            assert_eq!(reg.live(), (3, 1));
+            // Drop one with its verb still pending (the QP's drop
+            // releases the gauge first): its block retires, the
+            // endpoint's gauge lives while a sibling does.
+            leases[2].gauge.on_complete(1);
             leases.pop();
-            assert_eq!(reg.inner.lock().live.len(), 1, "shard lives while a lease does");
+            assert_eq!(reg.live(), (2, 1), "one block per live queue pair");
+            leases[0].gauge.on_complete(1);
             drop(leases);
-            assert!(reg.inner.lock().live.is_empty(), "registry grew with endpoint {endpoint}");
+            assert_eq!(reg.live(), (0, 0), "registry grew with endpoint {endpoint}");
         }
         let totals = reg.totals();
         assert_eq!(totals.verb_snapshot().kinds[3].count, 100);
-        assert_eq!(totals.verb_snapshot().in_flight_high_water, 1, "a maximum, not a sum");
+        assert_eq!(totals.verb_snapshot().kinds[0].count, 100);
+        assert_eq!(totals.verb_snapshot().verbs_in_flight, 0);
+        assert_eq!(totals.verb_snapshot().in_flight_high_water, 2, "a maximum, not a sum");
         assert_eq!(totals.nodes[1].faa, 100);
         assert_eq!(totals.nodes[0], OpCountersSnapshot::default());
     }

@@ -62,13 +62,13 @@ pub struct Fabric {
     /// Striped bundles handed out so far — guards the chaos install
     /// ordering (`install_chaos` debug-asserts this is still zero).
     stripes_created: AtomicU64,
-    /// Post→completion latency histograms, the in-flight verb gauge and
-    /// the per-node verb counters, one shard per connected endpoint
-    /// (admin QPs included). A QP writes its endpoint's shard only; the
-    /// snapshot functions below sum the shards, and an endpoint whose
-    /// last QP dropped has been folded into the registry's retired
-    /// totals, so counts survive QP teardown.
-    telemetry: Arc<Telemetry>,
+    /// Post→completion latency histograms and verb counters, one block
+    /// per live queue pair (admin QPs included), plus one in-flight verb
+    /// gauge per connected endpoint. A QP writes its own block and its
+    /// endpoint's gauge only; the snapshot functions below sum them, and
+    /// a dropped QP has been folded into the registry's retired totals,
+    /// so counts survive QP teardown.
+    pub(crate) telemetry: Arc<Telemetry>,
 }
 
 impl Fabric {
@@ -191,16 +191,8 @@ impl Fabric {
             .read()
             .as_ref()
             .map(|s| FlightTap::new(Arc::clone(s), self.clock, endpoint.0, node.id().0));
-        Ok(QueuePair::new(
-            node,
-            endpoint,
-            injector,
-            latency,
-            self.telemetry.lease(endpoint.0),
-            chaos,
-            flight,
-            self.clock,
-        ))
+        let telemetry = self.telemetry.lease(endpoint.0, node.id().0);
+        Ok(QueuePair::new(node, endpoint, injector, latency, telemetry, chaos, flight, self.clock))
     }
 
     /// Create a [`QpStripe`]: `width` independent queue pairs from
@@ -243,12 +235,13 @@ impl Fabric {
         injector: Arc<FaultInjector>,
     ) -> RdmaResult<QueuePair> {
         let node = Arc::clone(self.node(node)?);
+        let telemetry = self.telemetry.lease(endpoint.0, node.id().0);
         Ok(QueuePair::new(
             node,
             endpoint,
             injector,
             LatencyModel::zero(),
-            self.telemetry.lease(endpoint.0),
+            telemetry,
             None,
             None,
             self.clock,

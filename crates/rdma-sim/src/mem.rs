@@ -168,6 +168,29 @@ impl MemoryNode {
     /// in-flight DMA: once `endpoint` is revoked, the remaining words of
     /// a long WRITE never land (the recovery protocol relies on a fenced
     /// compute server being unable to keep mutating memory mid-verb).
+    ///
+    /// The words are `Release` stores, which is all any reader pairs
+    /// with:
+    /// * *Value before version.* An apply writes the value words, then
+    ///   the version word; readers load with `Acquire` ([`copy_out`],
+    ///   and the atomics are `AcqRel`). Release keeps the stores in
+    ///   program order, so a reader that sees the new version sees the
+    ///   value.
+    /// * *Revocation.* `revoke` is an `AcqRel` read-modify-write and the
+    ///   check below an `Acquire` load; neither is `SeqCst`, so a
+    ///   `SeqCst` store orders the word against nothing that concerns
+    ///   revocation. The race is check-then-store: a revocation landing
+    ///   between an iteration's check and its store lets that word
+    ///   through under any store ordering, and the *next* check — an
+    ///   acquire load, never reordered before this one — stops the copy.
+    ///   The guarantee is therefore the same as before: once the writer
+    ///   has observed the revocation (`AccessRevoked` from here or from
+    ///   a later verb's gate) its memory is final, and whatever hands
+    ///   that observation to an inspecting thread (a join, a channel,
+    ///   the crashed flag) publishes every word stored before it.
+    ///   `revocation_stops_a_streaming_writer` in `qp.rs` races this.
+    ///
+    /// [`copy_out`]: MemoryNode::copy_out
     #[inline]
     pub(crate) fn copy_in_revocable(
         &self,
@@ -182,7 +205,7 @@ impl MemoryNode {
                 return Err(RdmaError::AccessRevoked);
             }
             let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.words[start + i].store(w, Ordering::SeqCst);
+            self.words[start + i].store(w, Ordering::Release);
         }
         Ok(())
     }
