@@ -541,8 +541,14 @@ fn cmd_recovery(args: &Args) -> Result<(), ParseError> {
     );
     for r in &reports {
         println!(
-            "  coord {}: fence={:?} log-recovery={:?} notify={:?} total={:?}",
-            r.coord, r.link_termination, r.log_recovery, r.stray_notification, r.total
+            "  coord {}: fence={:?} log-recovery={:?} notify={:?} total={:?} verbs={} barriers={}",
+            r.coord,
+            r.link_termination,
+            r.log_recovery,
+            r.stray_notification,
+            r.total,
+            r.verbs,
+            r.barriers
         );
     }
     if let Some(path) = args.get("metrics-json") {

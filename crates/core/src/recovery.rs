@@ -26,11 +26,13 @@ use std::time::{Duration, Instant};
 
 use dkvs::hash::FxHashMap;
 use dkvs::{
-    log_lane_offset, LockWord, LogEntry, SlotLayout, TableId, UndoRecord, LOG_REGION_BYTES,
-    TXN_LOG_LANES,
+    log_lane_offset, LockWord, LogEntry, NodeSet, SlotLayout, TableId, UndoRecord,
+    LOG_REGION_BYTES, TXN_LOG_LANES,
 };
 use parking_lot::Mutex;
-use rdma_sim::{CrashMode, CrashPlan, EndpointId, FaultInjector, NodeId, QueuePair, RdmaResult};
+use rdma_sim::{
+    CrashMode, CrashPlan, EndpointId, FaultInjector, NodeId, QueuePair, RdmaResult, WorkId,
+};
 
 use crate::config::ProtocolKind;
 use crate::context::SharedContext;
@@ -154,6 +156,14 @@ pub struct RecoveryReport {
     /// RC after the previous one died mid-run). Zero only in
     /// hand-constructed reports.
     pub attempts: u32,
+    /// One-sided verbs this run issued, fallback re-issues included: the
+    /// RC's op-count delta over the run. Exact and host-independent for a
+    /// given crash state; on the FD's resident RC it also counts whatever
+    /// a concurrent recovery issued through the same RC meanwhile.
+    pub verbs: u64,
+    /// Completion barriers taken in log recovery — the round trips the
+    /// step costs. A phase with nothing to post takes none.
+    pub barriers: u32,
 }
 
 impl RecoveryReport {
@@ -173,6 +183,88 @@ impl RecoveryReport {
     pub fn end_to_end(&self) -> Duration {
         self.detection + self.total
     }
+}
+
+/// One one-sided verb of a recovery phase: enough to post it, and to
+/// issue it again through the blocking retry ladder if the post or the
+/// completion fails.
+enum PhaseOp<'a> {
+    /// READ of this many bytes.
+    Read(usize),
+    Write(&'a [u8]),
+    WriteWord(u64),
+    /// Owner-checked release: CAS from this word to 0.
+    Release(u64),
+}
+
+/// One phase of log recovery: its verbs are posted as they are added, in
+/// issue order, and [`Phase::barrier`] then waits for all of them — one
+/// round trip for the phase instead of one per verb.
+///
+/// The RC's queue pairs are shared (the FD's monitor thread and every
+/// `declare_failed` caller drive the resident RC), so the barrier waits
+/// for its own work ids one by one (`QueuePair::wait`) and never drains a
+/// queue pair wholesale: `wait_all`/`poll` would hand this phase another
+/// recovery's completions and lose them.
+struct Phase<'a> {
+    rc: &'a RecoveryCoordinator,
+    /// `None` work id: the post failed synchronously.
+    verbs: Vec<(NodeId, u64, PhaseOp<'a>, Option<WorkId>)>,
+}
+
+impl<'a> Phase<'a> {
+    fn post(&mut self, node: NodeId, addr: u64, op: PhaseOp<'a>) {
+        let qp = self.rc.qp(node);
+        let id = match op {
+            PhaseOp::Read(len) => qp.post_read(addr, len),
+            PhaseOp::Write(bytes) => qp.post_write(addr, bytes),
+            PhaseOp::WriteWord(word) => qp.post_write(addr, &word.to_le_bytes()),
+            PhaseOp::Release(expected) => qp.post_cas(addr, expected, 0),
+        };
+        self.verbs.push((node, addr, op, id.ok()));
+    }
+
+    /// The completion barrier: one reply per verb, in post order (the
+    /// READ payload; empty for the other kinds). A verb that was not
+    /// posted, or whose completion carries an error, runs again through
+    /// the blocking ladder of its kind — every recovery verb is
+    /// idempotent — and only that ladder's verdict is an error here. A
+    /// phase without verbs takes no barrier; otherwise `taken` counts it.
+    fn barrier(self, taken: &mut u32) -> Vec<RdmaResult<Vec<u8>>> {
+        *taken += !self.verbs.is_empty() as u32;
+        let rc = self.rc;
+        self.verbs
+            .into_iter()
+            .map(|(node, addr, op, id)| {
+                let qp = rc.qp(node);
+                if let Some(c) = id.map(|id| qp.wait(id)) {
+                    if c.result.is_ok() {
+                        return Ok(c.data.unwrap_or_default());
+                    }
+                }
+                match op {
+                    PhaseOp::Read(len) => {
+                        let mut buf = vec![0u8; len];
+                        rc.verb_or_fence(|| qp.read(addr, &mut buf)).map(|()| buf)
+                    }
+                    PhaseOp::Write(bytes) => {
+                        rc.verb_or_fence(|| qp.write(addr, bytes)).map(|()| Vec::new())
+                    }
+                    PhaseOp::WriteWord(word) => {
+                        rc.verb_or_fence(|| qp.write_u64(addr, word)).map(|()| Vec::new())
+                    }
+                    PhaseOp::Release(expected) => {
+                        rc.release_cas_resolved(node, addr, expected).map(|_| Vec::new())
+                    }
+                }
+            })
+            .collect()
+    }
+}
+
+/// The u64 an 8-byte READ returned.
+fn word(reply: &[u8]) -> u64 {
+    u64::from_le_bytes(reply.try_into().expect("8-byte READ"))
 }
 
 /// The Recovery Coordinator (RC): a thread on a standard compute server
@@ -246,6 +338,10 @@ impl RecoveryCoordinator {
 
     fn qp(&self, node: NodeId) -> &QueuePair {
         &self.qps[node.0 as usize]
+    }
+
+    fn phase(&self) -> Phase<'_> {
+        Phase { rc: self, verbs: Vec::new() }
     }
 
     /// Recovery verbs retry transient timeouts through the escalated
@@ -331,6 +427,7 @@ impl RecoveryCoordinator {
     /// wait (for at most the duration of log recovery).
     pub fn recover_pandora(&self, coord: u16, endpoint: EndpointId) -> RecoveryReport {
         let t0 = Instant::now();
+        let ops0 = self.injector.ops_issued();
         // Crash point "right after detection": the recoverer dies before
         // doing anything at all.
         self.enter_step(RecoveryStep::Detection);
@@ -363,6 +460,7 @@ impl RecoveryCoordinator {
 
         report.coord = coord;
         report.attempts = 1;
+        report.verbs = self.injector.ops_issued() - ops0;
         report.total = t0.elapsed();
         report
     }
@@ -405,22 +503,24 @@ impl RecoveryCoordinator {
     fn log_recovery(&self, coord: u16, log_nodes: &[NodeId]) -> RecoveryReport {
         self.enter_step(RecoveryStep::LogRecovery);
         let mut report = RecoveryReport::default();
-        let dead = self.ctx.dead_nodes();
+        let dead = self.ctx.dead_set();
+        let map = &self.ctx.map;
 
-        // f+1 region READs (paper: "the RC can read all logs by issuing
-        // f+1 RDMA Reads"), then a per-server extent-skip lane walk and
-        // a per-lane newest-txn merge across the copies.
+        // Phase 1: the f+1 region READs (paper: "the RC can read all logs
+        // by issuing f+1 RDMA Reads") in one round trip, then a per-server
+        // extent-skip lane walk and a per-lane newest-txn merge across
+        // the copies.
+        let mut regions = self.phase();
+        for &node in log_nodes.iter().filter(|&&n| !dead.contains(n)) {
+            let region = map.log_region(node, coord);
+            regions.post(node, region.base, PhaseOp::Read(LOG_REGION_BYTES as usize));
+        }
         let mut lanes: Vec<FxHashMap<u64, Vec<UndoRecord>>> =
             (0..TXN_LOG_LANES as usize).map(|_| FxHashMap::default()).collect();
-        for &node in log_nodes {
-            if dead.contains(&node) {
-                continue;
-            }
-            let region = self.ctx.map.log_region(node, coord);
-            let mut buf = vec![0u8; LOG_REGION_BYTES as usize];
-            if self.verb_or_fence(|| self.qp(node).read(region.base, &mut buf)).is_err() {
-                continue;
-            }
+        // A copy whose READ failed is skipped: a timeout that outlasted
+        // the retry ladder has fenced this RC, so nothing below takes
+        // effect, and a log server that died is a copy f+1 logging spares.
+        for buf in regions.barrier(&mut report.barriers).into_iter().flatten() {
             let mut covered = 0u64; // end of the last decoded entry's extent
             for (lane, lane_entries) in lanes.iter_mut().enumerate() {
                 let off = log_lane_offset(lane as u32);
@@ -458,52 +558,124 @@ impl RecoveryCoordinator {
                 None => Vec::new(),
             })
             .collect();
+        let slot_addr = |node, r: &UndoRecord| map.slot_addr(node, r.table, r.bucket, r.slot);
 
-        // Phase 1: classify every lane before mutating anything — a
-        // rollback restore must not race this RC's own unlocks.
-        let applied: Vec<bool> = lane_records
-            .iter()
-            .map(|records| records.is_empty() || self.txn_fully_applied(records, &dead))
-            .collect();
-
-        // Phase 2: restore every rollback lane's pre-images (value
-        // first, version second) while all locks are still held.
-        for (records, &fully_applied) in lane_records.iter().zip(&applied) {
-            if fully_applied {
-                continue;
-            }
+        // Phase 2: classify every lane before mutating anything — a
+        // rollback restore must not race this RC's own unlocks. Cor2/Cor3
+        // decision: roll forward iff every live replica of every
+        // write-set object moved past its pre-image version. (While the
+        // failed coordinator held the primary locks nobody else could
+        // advance these objects, so `!= old` ⇔ "this txn's update
+        // landed"; after a full commit+unlock, later writers only advance
+        // versions further, keeping the predicate true — which makes
+        // re-running recovery after the fact harmless.) Every version
+        // READ of every lane shares the barrier, and so do the READs of
+        // the primaries' lock words phase 5 releases: a lock the failed
+        // coordinator holds cannot change hands before its id is
+        // published as failed — by this recovery, or by one racing it,
+        // and then phase 5's CAS on the exact word fails harmlessly —
+        // and one it no longer holds can never become its own again.
+        let pill = self.ctx.config.pill_active();
+        let mut classify = self.phase();
+        let mut probes = Vec::new(); // (lane, replica, pre-image version) per version READ
+        for (lane, records) in lane_records.iter().enumerate() {
             for r in records {
-                for node in self.ctx.map.replicas(r.table, r.bucket) {
-                    if dead.contains(&node) {
-                        continue;
-                    }
-                    let base = self.ctx.map.slot_addr(node, r.table, r.bucket, r.slot);
-                    // A restore write that exhausts its retries fences
-                    // the RC: a silently-skipped pre-image would leave
-                    // this replica holding the failed txn's partial
-                    // update after truncation erased the undo record.
-                    let _ = self.verb_or_fence(|| {
-                        self.qp(node).write(base + SlotLayout::VALUE_OFF, &r.old_value)
-                    });
-                    let _ = self.verb_or_fence(|| {
-                        self.qp(node).write_u64(base + SlotLayout::VERSION_OFF, r.old_version.raw())
-                    });
+                for node in map.replica_walk(r.table, r.bucket).filter(|&n| !dead.contains(n)) {
+                    let addr = slot_addr(node, r) + SlotLayout::VERSION_OFF;
+                    classify.post(node, addr, PhaseOp::Read(8));
+                    probes.push((lane, node, r.old_version.raw()));
                 }
             }
         }
+        // The acting primaries' lock words, every record of every lane.
+        let locks: Vec<(NodeId, u64)> = lane_records
+            .iter()
+            .flatten()
+            .filter_map(|r| {
+                let primary = map.primary(r.table, r.bucket, dead)?;
+                Some((primary, slot_addr(primary, r) + SlotLayout::LOCK_OFF))
+            })
+            .collect();
+        if pill {
+            for &(primary, addr) in &locks {
+                classify.post(primary, addr, PhaseOp::Read(8));
+            }
+        }
+        let mut replies = classify.barrier(&mut report.barriers).into_iter();
+        let mut applied = vec![true; lane_records.len()];
+        for ((lane, node, old_version), reply) in probes.into_iter().zip(replies.by_ref()) {
+            applied[lane] &= match reply {
+                Ok(version) => word(&version) != old_version,
+                // Retried (and fenced on exhaustion): answering "not
+                // applied" off a transient read failure would roll back
+                // a possibly-acked commit (Cor3). A fenced RC still
+                // lands here, but its restore writes all fail closed and
+                // the FD re-executes recovery on a fresh RC. A replica
+                // that died between the dead-node snapshot and this READ
+                // counts like any other dead replica (skipped) rather
+                // than forcing a rollback — the commit-ack criterion is
+                // "all *live* replicas updated" (§3.2.5).
+                Err(_) => !self.ctx.fabric.node(node).map(|n| n.is_alive()).unwrap_or(false),
+            };
+        }
+        // Lock words carry a per-txn tag, so phase 5 CASes on the exact
+        // word read here — still owner-checked (a lock re-acquired by a
+        // live coordinator has a different owner or tag and the CAS
+        // fails harmlessly).
+        let held: Vec<(NodeId, u64, u64)> = locks
+            .iter()
+            .zip(replies)
+            .filter_map(|(&(primary, addr), reply)| {
+                let raw = word(&reply.ok()?);
+                let observed = LockWord(raw);
+                (observed.is_locked() && observed.owner() == coord).then_some((primary, addr, raw))
+            })
+            .collect();
 
-        // Phase 3: truncate every lane of every live log copy.
-        self.truncate_logs(coord, log_nodes, &dead);
+        // Phase 3: restore every rollback lane's pre-images while all
+        // locks are still held — value first, version second, on the
+        // replica's one queue pair, so the two land in that order. A
+        // restore write that exhausts its retries fences the RC: a
+        // silently-skipped pre-image would leave that replica holding
+        // the failed txn's partial update after truncation erased the
+        // undo record.
+        let mut restore = self.phase();
+        for (records, _) in lane_records.iter().zip(&applied).filter(|(_, &applied)| !applied) {
+            for r in records {
+                for node in map.replica_walk(r.table, r.bucket).filter(|&n| !dead.contains(n)) {
+                    let base = slot_addr(node, r);
+                    restore.post(node, base + SlotLayout::VALUE_OFF, PhaseOp::Write(&r.old_value));
+                    let version = PhaseOp::WriteWord(r.old_version.raw());
+                    restore.post(node, base + SlotLayout::VERSION_OFF, version);
+                }
+            }
+        }
+        restore.barrier(&mut report.barriers);
 
-        // Phase 4: owner-checked unlocks, all lanes.
-        for (records, &fully_applied) in lane_records.iter().zip(&applied) {
+        // Phase 4: truncate every lane of every live log copy.
+        self.truncate_logs(coord, log_nodes, dead, &mut report.barriers);
+
+        // Phase 5: owner-checked unlocks, all lanes. An unlock CAS whose
+        // completion was lost is settled by re-reading the word (PILL
+        // ownership — see `release_cas_resolved`). Anonymous locks get a
+        // blind unlock — only safe because FORD / Traditional recovery
+        // runs under a world pause.
+        let mut unlock = self.phase();
+        if pill {
+            for &(primary, addr, raw) in &held {
+                unlock.post(primary, addr, PhaseOp::Release(raw));
+            }
+        } else {
+            for &(primary, addr) in &locks {
+                unlock.post(primary, addr, PhaseOp::WriteWord(0));
+            }
+        }
+        unlock.barrier(&mut report.barriers);
+        for (records, &applied) in lane_records.iter().zip(&applied) {
             if records.is_empty() {
                 continue;
             }
-            for r in records {
-                self.unlock_primary_cas(coord, r, &dead);
-            }
-            if fully_applied {
+            if applied {
                 report.rolled_forward += 1;
             } else {
                 report.rolled_back += 1;
@@ -516,35 +688,32 @@ impl RecoveryCoordinator {
     /// memory node (used when an id is returned to the pool, so the next
     /// holder of the same log slot starts clean).
     pub fn truncate_all_regions(&self, coord: u16) {
-        let dead = self.ctx.dead_nodes();
-        for node in self.ctx.fabric.node_ids() {
-            if dead.contains(&node) {
-                continue;
-            }
-            let log = self.ctx.map.log_region(node, coord);
-            for lane in 0..TXN_LOG_LANES as u32 {
-                let _ = self
-                    .verb_or_fence(|| self.qp(node).write_u64(log.base + log_lane_offset(lane), 0));
-            }
-            let intents = self.ctx.map.intent_region(node, coord);
-            let _ = self.verb_or_fence(|| self.qp(node).write_u64(intents.base, 0));
+        let dead = self.ctx.dead_set();
+        let mut phase = self.phase();
+        for node in self.ctx.fabric.node_ids().filter(|&n| !dead.contains(n)) {
+            self.post_lane_truncations(&mut phase, coord, node);
+            phase.post(node, self.ctx.map.intent_region(node, coord).base, PhaseOp::WriteWord(0));
         }
+        phase.barrier(&mut 0);
     }
 
     /// Truncate every lane of `coord`'s log regions on every live log
-    /// node (a spanning classic entry dies with its lane-0 header; lane
-    /// entries die individually).
-    fn truncate_logs(&self, coord: u16, log_nodes: &[NodeId], dead: &[NodeId]) {
-        for &node in log_nodes {
-            if dead.contains(&node) {
-                continue;
-            }
-            let region = self.ctx.map.log_region(node, coord);
-            for lane in 0..TXN_LOG_LANES as u32 {
-                let _ = self.verb_or_fence(|| {
-                    self.qp(node).write_u64(region.base + log_lane_offset(lane), 0)
-                });
-            }
+    /// node, in one round trip (counted in `taken`).
+    fn truncate_logs(&self, coord: u16, log_nodes: &[NodeId], dead: NodeSet, taken: &mut u32) {
+        let mut phase = self.phase();
+        for &node in log_nodes.iter().filter(|&&n| !dead.contains(n)) {
+            self.post_lane_truncations(&mut phase, coord, node);
+        }
+        phase.barrier(taken);
+    }
+
+    /// Zero the header of every lane of `coord`'s log region on `node` (a
+    /// spanning classic entry dies with its lane-0 header; lane entries
+    /// die individually).
+    fn post_lane_truncations(&self, phase: &mut Phase<'_>, coord: u16, node: NodeId) {
+        let region = self.ctx.map.log_region(node, coord);
+        for lane in 0..TXN_LOG_LANES as u32 {
+            phase.post(node, region.base + log_lane_offset(lane), PhaseOp::WriteWord(0));
         }
     }
 
@@ -561,77 +730,6 @@ impl RecoveryCoordinator {
             && r.old_value.len() == def.layout().value_padded()
     }
 
-    /// Cor2/Cor3 decision: roll forward iff every live replica of every
-    /// write-set object moved past its pre-image version. (While the
-    /// failed coordinator held the primary locks nobody else could
-    /// advance these objects, so `!= old` ⇔ "this txn's update landed";
-    /// after a full commit+unlock, later writers only advance versions
-    /// further, keeping the predicate true — which makes re-running
-    /// recovery after the fact harmless.)
-    fn txn_fully_applied(&self, records: &[UndoRecord], dead: &[NodeId]) -> bool {
-        for r in records {
-            for node in self.ctx.map.replicas(r.table, r.bucket) {
-                if dead.contains(&node) {
-                    continue;
-                }
-                let addr = self.ctx.map.slot_addr(node, r.table, r.bucket, r.slot)
-                    + SlotLayout::VERSION_OFF;
-                // Retried (and fenced on exhaustion): answering `false`
-                // off a transient read failure would roll back a
-                // possibly-acked commit (Cor3). A fenced RC still returns
-                // `false` here, but its restore writes all fail closed
-                // and the FD re-executes recovery on a fresh RC.
-                match self.verb_or_fence(|| self.qp(node).read_u64(addr)) {
-                    Ok(v) => {
-                        if v == r.old_version.raw() {
-                            return false;
-                        }
-                    }
-                    Err(_) => {
-                        // A replica died between the dead-node snapshot
-                        // and this read: treat it like any other dead
-                        // replica (skip) rather than forcing a rollback —
-                        // the commit-ack criterion is "all *live*
-                        // replicas updated" (§3.2.5), and rolling back a
-                        // possibly-acked commit would violate Cor3.
-                        if self.ctx.fabric.node(node).map(|n| n.is_alive()).unwrap_or(false) {
-                            return false; // live node, real read failure
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Owner-checked unlock of a record's primary.
-    fn unlock_primary_cas(&self, coord: u16, r: &UndoRecord, dead: &[NodeId]) {
-        let Some(&primary) = self.ctx.map.live_replicas(r.table, r.bucket, dead).first() else {
-            return;
-        };
-        let addr =
-            self.ctx.map.slot_addr(primary, r.table, r.bucket, r.slot) + SlotLayout::LOCK_OFF;
-        if self.ctx.config.pill_active() {
-            // Lock words carry a per-txn tag, so read the exact word and
-            // CAS on it — still owner-checked (a lock re-acquired by a
-            // live coordinator has a different owner or tag and the CAS
-            // fails harmlessly).
-            if let Ok(raw) = self.verb_or_fence(|| self.qp(primary).read_u64(addr)) {
-                let observed = LockWord(raw);
-                if observed.is_locked() && observed.owner() == coord {
-                    // Ambiguity-resolved: an unlock CAS whose completion
-                    // was lost is settled by re-reading the word (PILL
-                    // ownership — see `release_cas_resolved`).
-                    let _ = self.release_cas_resolved(primary, addr, raw);
-                }
-            }
-        } else {
-            // Anonymous locks: blind unlock — only safe because FORD /
-            // Traditional recovery runs under a world pause.
-            let _ = self.verb_or_fence(|| self.qp(primary).write_u64(addr, 0));
-        }
-    }
-
     // ----------------------------------------------------------------
     // Baseline: stop-the-world + full-KVS scan (paper §6.1)
     // ----------------------------------------------------------------
@@ -642,6 +740,7 @@ impl RecoveryCoordinator {
     /// the paper measures (~5 s per million keys).
     pub fn recover_baseline(&self, failed: &[(u16, EndpointId)]) -> RecoveryReport {
         let t0 = Instant::now();
+        let ops0 = self.injector.ops_issued();
         self.enter_step(RecoveryStep::Detection);
         self.enter_step(RecoveryStep::LinkTermination);
         if !self.injector.is_crashed() {
@@ -661,6 +760,7 @@ impl RecoveryCoordinator {
             report.logged_txns += r.logged_txns;
             report.rolled_forward += r.rolled_forward;
             report.rolled_back += r.rolled_back;
+            report.barriers += r.barriers;
         }
         // Full scan: with the world stopped and live transactions
         // aborted, every remaining lock is stray — release it.
@@ -679,6 +779,7 @@ impl RecoveryCoordinator {
         report.stray_notification = t_notify.elapsed();
         report.coord = failed.first().map(|&(c, _)| c).unwrap_or(0);
         report.attempts = 1;
+        report.verbs = self.injector.ops_issued() - ops0;
         report.total = t0.elapsed();
         report
     }
@@ -731,6 +832,7 @@ impl RecoveryCoordinator {
     /// steady-state logging round trip per lock.
     pub fn recover_traditional(&self, failed: &[(u16, EndpointId)]) -> RecoveryReport {
         let t0 = Instant::now();
+        let ops0 = self.injector.ops_issued();
         self.enter_step(RecoveryStep::Detection);
         self.enter_step(RecoveryStep::LinkTermination);
         if !self.injector.is_crashed() {
@@ -750,6 +852,7 @@ impl RecoveryCoordinator {
             report.logged_txns += r.logged_txns;
             report.rolled_forward += r.rolled_forward;
             report.rolled_back += r.rolled_back;
+            report.barriers += r.barriers;
             report.locks_released += self.replay_lock_intents(coord);
         }
         report.log_recovery = t_log.elapsed();
@@ -760,6 +863,7 @@ impl RecoveryCoordinator {
         report.stray_notification = t_notify.elapsed();
         report.coord = failed.first().map(|&(c, _)| c).unwrap_or(0);
         report.attempts = 1;
+        report.verbs = self.injector.ops_issued() - ops0;
         report.total = t0.elapsed();
         report
     }

@@ -1,6 +1,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 
 use crate::chaos::ChaosModel;
@@ -11,7 +12,7 @@ use crate::flight::{FabricClock, FlightTap, VerbSink};
 use crate::latency::LatencyModel;
 use crate::mem::{MemoryNode, MAX_ENDPOINTS};
 use crate::qp::{OpCountersSnapshot, QueuePair};
-use crate::rpc::{CtrlClient, CtrlService};
+use crate::rpc::{CtrlClient, CtrlRequest, CtrlResponse, CtrlService};
 use crate::stripe::QpStripe;
 
 /// Identifier of a memory server.
@@ -287,35 +288,35 @@ impl Fabric {
         Ok(())
     }
 
-    /// Active-link termination of `endpoint` on **every** memory node,
-    /// via control-path RPCs (paper §3.2.2, step 2). Returns the number
-    /// of nodes that acknowledged; dead nodes are skipped (their memory
-    /// is unreachable anyway).
-    pub fn revoke_everywhere(&self, endpoint: EndpointId) -> usize {
-        let mut acked = 0;
-        for (i, c) in self.ctrl.iter().enumerate() {
-            if !self.nodes[i].is_alive() {
-                continue;
-            }
-            if c.revoke(endpoint.0).is_ok() {
-                acked += 1;
+    /// One control-path request to every live memory node: all of them
+    /// are sent before the first reply is awaited — the replies come back
+    /// on one channel — so the call costs one hand-off to a wimpy core,
+    /// not one per node. Returns the number of nodes that acknowledged;
+    /// dead nodes are skipped (their memory is unreachable anyway).
+    fn ctrl_everywhere(&self, req: CtrlRequest) -> usize {
+        let (reply_tx, replies) = bounded(self.ctrl.len());
+        let mut sent = 0;
+        for (c, node) in self.ctrl.iter().zip(&self.nodes) {
+            if node.is_alive() && c.tx.send((req, reply_tx.clone())).is_ok() {
+                sent += 1;
             }
         }
-        acked
+        // With our own sender gone, a request dropped unanswered ends the
+        // wait instead of hanging it.
+        drop(reply_tx);
+        (0..sent).filter(|_| matches!(replies.recv(), Ok(CtrlResponse::Ok))).count()
+    }
+
+    /// Active-link termination of `endpoint` on **every** live memory
+    /// node, via control-path RPCs (paper §3.2.2, step 2). Returns the
+    /// number of nodes that acknowledged.
+    pub fn revoke_everywhere(&self, endpoint: EndpointId) -> usize {
+        self.ctrl_everywhere(CtrlRequest::Revoke { endpoint: endpoint.0 })
     }
 
     /// Restore `endpoint` on every live memory node.
     pub fn restore_everywhere(&self, endpoint: EndpointId) -> usize {
-        let mut acked = 0;
-        for (i, c) in self.ctrl.iter().enumerate() {
-            if !self.nodes[i].is_alive() {
-                continue;
-            }
-            if c.restore(endpoint.0).is_ok() {
-                acked += 1;
-            }
-        }
-        acked
+        self.ctrl_everywhere(CtrlRequest::Restore { endpoint: endpoint.0 })
     }
 
     /// The latency model active on this fabric.

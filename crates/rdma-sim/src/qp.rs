@@ -86,8 +86,9 @@ impl OpCounters {
 ///
 /// Verbs are *posted*: `post_read`/`post_write`/`post_cas`/`post_faa`/
 /// `post_write_batch`/`post_flush` return a [`WorkId`] immediately and
-/// the matching [`Completion`] is delivered later via [`QueuePair::poll`]
-/// or [`QueuePair::wait_all`]. Every post:
+/// the matching [`Completion`] is delivered later via [`QueuePair::poll`],
+/// [`QueuePair::wait_all`] or, by work id, [`QueuePair::wait`] and
+/// [`QueuePair::try_take`]. Every post:
 /// 1. consults the [`FaultInjector`] (compute-side crash) in post order,
 /// 2. checks the target node is alive and this endpoint unrevoked,
 /// 3. draws the chaos verdict and executes against the node's registered
@@ -389,16 +390,20 @@ impl QueuePair {
 
     /// Block until `id` completes; deliver anything posted before it
     /// (their flight spans and gauge updates still fire) and return
-    /// `id`'s completion. Backbone of the blocking wrappers.
+    /// `id`'s completion. Backbone of the blocking wrappers, and the
+    /// per-verb half of a completion barrier on a QP the caller does not
+    /// own alone: post a phase's verbs, then `wait` each id.
     ///
-    /// Safe under concurrent blocking waiters on the same QP (a shared
-    /// recovery coordinator is driven from both the FD monitor thread
-    /// and `declare_failed` callers): a waiter that drains past another
+    /// Safe under concurrent waiters on the same QP (a shared recovery
+    /// coordinator is driven from both the FD monitor thread and
+    /// `declare_failed` callers): a waiter that drains past another
     /// waiter's entry parks that completion in `claimed` — atomically
     /// with the drain — and the owner picks it up on its next check.
+    /// [`QueuePair::wait_all`] and [`QueuePair::poll`] make no such
+    /// promise: they hand whatever has ripened to whoever calls.
     ///
     /// Panics if `id` was never posted on this QP (or already taken).
-    fn wait_take(&self, id: WorkId) -> Completion {
+    pub fn wait(&self, id: WorkId) -> Completion {
         loop {
             let target = {
                 let mut st = self.pending.lock();
@@ -425,7 +430,7 @@ impl QueuePair {
     /// Non-blocking fetch of one completion by work id. Drains every
     /// entry *ripe* at `now` (deadline passed) in post order — parking
     /// the others in `claimed` for their own takers, exactly as
-    /// `wait_take` does — and returns `id`'s completion if it has
+    /// `wait` does — and returns `id`'s completion if it has
     /// ripened, `None` otherwise.
     ///
     /// `now` is the caller's clock reading, so a poller checking many
@@ -436,7 +441,7 @@ impl QueuePair {
     /// This is the polling primitive of the interleaved transaction
     /// scheduler: the scheduler tracks each slot's posted work ids and
     /// pulls them individually, so a slot's *blocking* fallback verb on
-    /// the same lane (`wait_take` via the blocking wrappers) and the
+    /// the same lane (`wait` via the blocking wrappers) and the
     /// scheduler's posted verbs can coexist without losing completions
     /// to the claimed buffer.
     pub fn try_take(&self, id: WorkId, now: Instant) -> Option<Completion> {
@@ -482,7 +487,7 @@ impl QueuePair {
     #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> RdmaResult<()> {
         let id = self.post_read(addr, buf.len())?;
-        let c = self.wait_take(id);
+        let c = self.wait(id);
         c.result?;
         buf.copy_from_slice(c.data.as_deref().expect("READ completion carries data"));
         Ok(())
@@ -531,7 +536,7 @@ impl QueuePair {
     #[inline]
     pub fn write(&self, addr: u64, data: &[u8]) -> RdmaResult<()> {
         let id = self.post_write(addr, data)?;
-        self.wait_take(id).result.map(|_| ())
+        self.wait(id).result.map(|_| ())
     }
 
     /// One-sided WRITE of a single aligned u64 word.
@@ -583,7 +588,7 @@ impl QueuePair {
     /// Doorbell-batched WRITEs, blocking (post+wait).
     pub fn write_batch(&self, writes: &[(u64, &[u8])]) -> RdmaResult<()> {
         let id = self.post_write_batch(writes)?;
-        self.wait_take(id).result.map(|_| ())
+        self.wait(id).result.map(|_| ())
     }
 
     /// Post a one-sided compare-and-swap on an aligned u64 word. The
@@ -614,7 +619,7 @@ impl QueuePair {
     #[inline]
     pub fn cas(&self, addr: u64, expected: u64, new: u64) -> RdmaResult<u64> {
         let id = self.post_cas(addr, expected, new)?;
-        self.wait_take(id).result
+        self.wait(id).result
     }
 
     /// RNIC-cache flush for NVM persistence (paper §7: "FORD's selective
@@ -626,7 +631,7 @@ impl QueuePair {
     #[inline]
     pub fn flush(&self, addr: u64) -> RdmaResult<()> {
         let id = self.post_flush(addr)?;
-        self.wait_take(id).result.map(|_| ())
+        self.wait(id).result.map(|_| ())
     }
 
     /// Post an RNIC-cache flush (see [`QueuePair::flush`]).
@@ -670,7 +675,7 @@ impl QueuePair {
     #[inline]
     pub fn faa(&self, addr: u64, add: u64) -> RdmaResult<u64> {
         let id = self.post_faa(addr, add)?;
-        self.wait_take(id).result
+        self.wait(id).result
     }
 }
 
@@ -741,6 +746,45 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(qp.in_flight(), 0);
+    }
+
+    #[test]
+    fn wait_finds_its_completion_after_a_concurrent_waiter_drained_past_it() {
+        use std::time::Duration;
+        let f = Fabric::new(FabricConfig {
+            memory_nodes: 1,
+            capacity_per_node: 1 << 16,
+            latency: LatencyModel { rtt: Duration::from_millis(2), ns_per_kib: 0 },
+        });
+        let qp = f.qp(f.register_endpoint(), NodeId(0), FaultInjector::new()).unwrap();
+        let ids: Vec<WorkId> = (0..4u64)
+            .map(|i| qp.post_write(i * 8, &(i + 1).to_le_bytes()).unwrap())
+            .collect();
+        // Another caller of the shared QP waits on the third verb and so
+        // drains the first two as well.
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert_eq!(qp.wait(ids[2]).work_id, ids[2])).join().unwrap();
+        });
+        assert_eq!(qp.in_flight(), 1, "a later id stays pending");
+        let parked: Vec<WorkId> = qp.pending.lock().claimed.iter().map(|c| c.work_id).collect();
+        assert_eq!(parked, ids[..2]);
+        // The owners of the drained verbs still get their own completions,
+        // in whatever order they ask.
+        assert_eq!(qp.wait(ids[1]).work_id, ids[1]);
+        assert_eq!(qp.wait(ids[0]).work_id, ids[0]);
+        assert_eq!(qp.in_flight(), 1);
+        assert_eq!(qp.wait(ids[3]).result, Ok(0));
+        assert_eq!(qp.in_flight(), 0);
+        assert!(qp.pending.lock().claimed.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "work id not pending on this QP")]
+    fn wait_on_an_unknown_id_panics() {
+        let (_f, qp) = setup();
+        let id = qp.post_read(0, 8).unwrap();
+        qp.wait(id);
+        qp.wait(id); // already taken
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::mem::MemoryNode;
 use std::sync::Arc;
 
 /// Requests a compute server may send to a memory node's wimpy core.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum CtrlRequest {
     /// Allocate `len` bytes of registered memory; reply `Alloced(offset)`.
     Alloc { len: u64 },

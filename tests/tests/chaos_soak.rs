@@ -158,6 +158,17 @@ fn storm_and_audit(cluster: &Arc<SimCluster>, seed: u64) {
     runner.stop_and_join();
     std::thread::sleep(cluster.ctx.config.fd_timeout + Duration::from_millis(20));
     monitor.stop();
+    // The monitor's last sweep recovered whoever was stale when it began,
+    // and a recovery takes long enough (each one dumps the recorder) for
+    // the stop to land before the next sweep. Nobody beats any more:
+    // sweep until every registered coordinator has been declared — one
+    // left out may be a worker that fenced itself mid-apply.
+    let drained = std::time::Instant::now() + Duration::from_secs(30);
+    while cluster.fd.alive_count() > 0 {
+        assert!(std::time::Instant::now() < drained, "seed {seed}: the fleet never drained");
+        cluster.fd.sweep(cluster.ctx.config.fd_timeout);
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Every recovery that ran — storm-driven or cleanup — completed.
     for report in cluster.fd.reports() {

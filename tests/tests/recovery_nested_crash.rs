@@ -204,6 +204,57 @@ fn nested_crash_sweep_takeover_converges_to_control() {
     }
 }
 
+/// Log recovery posts a whole phase before it waits, so a recoverer that
+/// dies a few verbs in dies with the rest of that phase never posted and
+/// the posted part already in memory: the crash lands *inside* a phase,
+/// before its barrier. Offsets 5–13 fall among the lane truncations (or,
+/// with a logged transaction, among the classify READs and the restore
+/// WRITEs), 21 and 34 among the truncations and the unlock CASes of a
+/// roll-back — or past the end of a shorter run, which then completes.
+#[test]
+fn a_kill_inside_a_posted_phase_converges_to_control() {
+    for &seed_op in &PINNED_SEEDS {
+        let control = control_balances(seed_op);
+        let mut takeover_cells = 0usize;
+        for at_verb in [5u64, 8, 13, 21, 34] {
+            let label = format!("seed {seed_op}, kill log-recovery:{at_verb}");
+            let cluster = Arc::new(build(None, true));
+            let flight = cluster.flight.clone().expect("flight recorder installed");
+            flight.set_chaos_seed(seed_op);
+            pandora::dump_on_panic(
+                Some(&flight),
+                "recovery-nested-crash",
+                std::panic::AssertUnwindSafe(|| {
+                    let (coord, _ep) = crash_transfer(&cluster, seed_op, 3, 7);
+                    cluster.fd.arm_recovery_crash(RecoveryCrashPlan {
+                        step: RecoveryStep::LogRecovery,
+                        at_verb,
+                    });
+                    let qfd = QuorumFd::new(Arc::clone(&cluster.fd), 3);
+                    let report = match qfd.detect_and_recover(coord, Duration::from_millis(3)) {
+                        FdOutcome::Recovered(r) => r,
+                        other => panic!("{label}: expected a recovery, got {other:?}"),
+                    };
+                    assert!(report.completed, "{label}: recovery incomplete after takeovers");
+                    takeover_cells += (report.attempts > 1) as usize;
+                    audit_clean(&cluster, &label);
+                    assert_eq!(
+                        balances(&cluster),
+                        control,
+                        "{label}: decisions diverge from the uninterrupted recovery"
+                    );
+                }),
+            );
+        }
+        // Every log recovery issues the two region READs and sixteen
+        // truncations at least, so the three smallest offsets always fire.
+        assert!(
+            takeover_cells >= 3,
+            "seed {seed_op}: only {takeover_cells} kills landed inside log recovery"
+        );
+    }
+}
+
 /// Compound failure: a memory node dies inside the takeover window, so
 /// the re-run recovers against the post-promotion placement.
 #[test]
@@ -460,6 +511,51 @@ fn chaos_enabled_recovery_completes_and_converges() {
         );
     }
     assert!(engaged > 0, "five heavy-chaos recoveries never engaged the retry machinery");
+}
+
+/// A posted verb whose completion reports an ambiguous timeout runs
+/// again through the blocking ladder of its kind. The cell wanted is a
+/// roll-back in which that happens to a restore WRITE of a pre-image
+/// and to an unlock CAS in the same run: every timeout is ambiguous
+/// (dropped, or landed with the completion lost), and seeds are tried in
+/// order until one hits both — found from the verb spans of the
+/// recovery, the only traffic under chaos. Every cell on the way must
+/// converge too, on the first recoverer.
+#[test]
+fn ambiguous_timeouts_of_posted_restore_and_unlock_verbs_converge() {
+    let control = control_balances(8);
+    let hit = (0..64u64).find(|&seed| {
+        let label = format!("ambiguous chaos seed {seed}");
+        let chaos_cfg = ChaosConfig {
+            p_timeout: 0.15,
+            p_ambiguous: 1.0,
+            p_flap: 0.0,
+            p_delay_spike: 0.0,
+            ..ChaosConfig::heavy(seed)
+        };
+        let cluster = build(Some(chaos_cfg), true);
+        let chaos = cluster.chaos.clone().expect("chaos installed");
+        let flight = cluster.flight.clone().expect("flight recorder installed");
+        let (coord, _ep) = crash_transfer(&cluster, 8, 3, 7);
+        let t_chaos = flight.now_ns();
+        chaos.set_enabled(true);
+        let report = cluster.fd.declare_failed(coord).expect("recovery runs");
+        chaos.set_enabled(false);
+        assert!(report.completed && report.attempts == 1, "{label}: {report:?}");
+        assert_eq!(report.rolled_back, 1, "{label}");
+        audit_clean(&cluster, &label);
+        assert_eq!(balances(&cluster), control, "{label}: chaos changed the recovery decision");
+        // A failed 16-byte WRITE is a pre-image going back (version and
+        // truncation WRITEs are one word).
+        let spans = flight.snapshot();
+        let failed = |name: &str, bytes: u64| {
+            spans
+                .iter()
+                .any(|s| s.start_ns >= t_chaos && !s.ok && s.name == name && s.detail == bytes)
+        };
+        failed("WRITE", 16) && failed("CAS", 8)
+    });
+    assert!(hit.is_some(), "no seed timed out both a restore WRITE and an unlock CAS");
 }
 
 /// Zero-cost-off for the recovery path: a cluster with a chaos model
