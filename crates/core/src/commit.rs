@@ -4,7 +4,8 @@
 //!
 //! A [`Commit`] holds one transaction's read-set, write-set, held locks
 //! and log bookkeeping from its first operation on. After the execute
-//! phase a driver walks it through the phases in two halves:
+//! phase ([`crate::exec`], the same shape over the same state) a driver
+//! walks it through the phases in two halves:
 //!
 //! * [`Commit::post`] builds the phase's item list — one item per
 //!   (object, node) the phase touches — and posts each item's verbs on
@@ -27,7 +28,9 @@
 //! only (see DESIGN.md §5): `covert_locks` in the validate check, the
 //! log-target builder and `missing_insert_log` in the log phase,
 //! `lost_decision` skipping it, `complicit_abort` and the two
-//! leave-the-log-behind bugs in [`Commit::abort`].
+//! leave-the-log-behind bugs in [`Commit::abort`]; the execute-side
+//! hooks call [`Commit::log_early`] and [`Commit::log_intents`] from
+//! the ladder of `crate::exec`.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -148,9 +151,8 @@ pub(crate) struct Commit {
     pub read_set: Vec<ReadEntry>,
     pub write_set: Vec<WriteEntry>,
     /// Locks this transaction owns remotely — the one list the abort
-    /// path and the unlock phase release. The scheduler's eagerly
-    /// executed lock CASes land here before their write-set entry
-    /// exists.
+    /// path and the unlock phase release. A lock lands here the moment
+    /// it is known to be ours, before its write-set entry exists.
     pub held: Vec<SlotRef>,
     phase: Phase,
     phase_t0: Option<Instant>,
@@ -723,7 +725,7 @@ impl Commit {
     }
 
     // -----------------------------------------------------------------
-    // Execute-time logging (blocking; `Txn` only)
+    // Execute-time logging (blocking; called from the execute ladder)
     // -----------------------------------------------------------------
 
     /// Write the undo log *now*, from the execute phase — the
@@ -813,8 +815,12 @@ impl Commit {
         let leave_log = bugs.lost_decision || bugs.logging_without_locking;
         if bugs.complicit_abort {
             // Complicit-aborts bug: blindly release *every* write-set
-            // lock, acquired or not.
-            self.held = self.write_set.iter().map(|w| w.slot).collect();
+            // lock, acquired or not — beside the ones actually held.
+            for w in &self.write_set {
+                if !self.held.contains(&w.slot) {
+                    self.held.push(w.slot);
+                }
+            }
         }
         if leave_log || self.truncate_logs(co) {
             self.release_held(co);

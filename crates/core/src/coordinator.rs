@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 
 use dkvs::hash::FxHashMap;
 use dkvs::{ClusterMap, LockWord, SlotImage, SlotLayout, SlotRef, TableId};
-use rdma_sim::{
-    EndpointId, FaultInjector, NodeId, QpStripe, QueuePair, RdmaError, RdmaResult, WorkId,
-};
+use rdma_sim::{EndpointId, FaultInjector, NodeId, QpStripe, QueuePair, RdmaError, RdmaResult};
 
 use crate::context::SharedContext;
 use crate::fd::{CoordinatorLease, FailureDetector};
@@ -61,46 +59,6 @@ pub struct Coordinator {
 pub(crate) struct FullSlot {
     pub key: u64,
     pub image: SlotImage,
-}
-
-/// Per-item outcome of a [`Coordinator::fanout`] barrier.
-///
-/// `result` is the first failure among the item's verbs — a synchronous
-/// post error or a failed completion — and `Ok(())` only when every verb
-/// of the item completed successfully. `data` carries the payload of the
-/// item's READ completion, if the item posted one.
-#[derive(Debug)]
-pub(crate) struct FanoutOutcome {
-    pub result: RdmaResult<()>,
-    pub data: Option<Vec<u8>>,
-}
-
-/// Route completions back to their fan-out items (first error wins,
-/// READ payloads are kept). Completions are keyed by (node, lane, work
-/// id): work ids are only unique per queue pair, and a striped link has
-/// several.
-fn settle_completions(
-    outcomes: &mut [FanoutOutcome],
-    tags: &FxHashMap<(u16, u32, WorkId), usize>,
-    node: NodeId,
-    lane: u32,
-    comps: Vec<rdma_sim::Completion>,
-) {
-    for c in comps {
-        let Some(&i) = tags.get(&(node.0, lane, c.work_id)) else { continue };
-        match c.result {
-            Ok(_) => {
-                if c.data.is_some() {
-                    outcomes[i].data = c.data;
-                }
-            }
-            Err(e) => {
-                if outcomes[i].result.is_ok() {
-                    outcomes[i].result = Err(e);
-                }
-            }
-        }
-    }
 }
 
 impl Coordinator {
@@ -338,16 +296,6 @@ impl Coordinator {
         &self.qps[node.0 as usize]
     }
 
-    /// The stripe lane the route address hashes to. Verbs that rely on
-    /// RC ordering among themselves must share a route; the protocol
-    /// layer routes by the base address of the object being operated on
-    /// (slot base for lock/read/apply/unlock verbs, log-lane base for
-    /// log writes).
-    #[inline]
-    pub(crate) fn qp_routed(&self, node: NodeId, route: u64) -> &QueuePair {
-        self.qps[node.0 as usize].route(route)
-    }
-
     /// Posted verbs a phase may keep in flight per QP. Zero when
     /// posting is off (`pipeline_depth <= 1`): no lane ever has room,
     /// so every verb takes its blocking path, one round trip at a time.
@@ -357,73 +305,6 @@ impl Coordinator {
             0 | 1 => 0,
             n => n as usize,
         }
-    }
-
-    /// Is the posted-verb fan-out path active?
-    #[inline]
-    pub(crate) fn pipelining_on(&self) -> bool {
-        self.ctx.config.pipelining_on()
-    }
-
-    /// Fan one phase's verbs out across memory nodes with a single
-    /// completion barrier.
-    ///
-    /// For each item, `route_of` names the node *and* the route address
-    /// the item's verbs are about (slot base, log-lane base); the route
-    /// picks a stripe lane, and `post` issues the item's verb(s) on that
-    /// QP and pushes every returned [`WorkId`]. An item's verbs all post
-    /// on one lane, so intra-item order is kept by RC ordering — and so
-    /// are inter-item orders for items sharing a route, which is how
-    /// same-object verbs stay ordered under striping. Posting is capped
-    /// at the configured pipeline depth per lane — an item's verbs
-    /// always post together, the cap is enforced between items. After
-    /// all items have posted, every touched lane is drained once (the
-    /// barrier).
-    ///
-    /// Failures are *not* resolved here: a synchronous post error or a
-    /// failed completion lands in the item's [`FanoutOutcome`], and the
-    /// caller re-runs that item through its blocking retry logic (posted
-    /// verbs' effects execute eagerly, so a re-issued idempotent verb is
-    /// harmless; CAS ambiguity must go through `cas_resolved`).
-    pub(crate) fn fanout<I>(
-        &self,
-        items: &[I],
-        route_of: impl Fn(&I) -> (NodeId, u64),
-        post: impl Fn(&QueuePair, &I, &mut Vec<WorkId>) -> RdmaResult<()>,
-    ) -> Vec<FanoutOutcome> {
-        let depth = self.post_window();
-        let mut outcomes: Vec<FanoutOutcome> =
-            items.iter().map(|_| FanoutOutcome { result: Ok(()), data: None }).collect();
-        let mut tags: FxHashMap<(u16, u32, WorkId), usize> = FxHashMap::default();
-        let mut touched: Vec<(NodeId, u32)> = Vec::new();
-        let mut ids: Vec<WorkId> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            let (node, route) = route_of(item);
-            let stripe = self.stripe(node);
-            let lane = stripe.lane_for(route);
-            let qp = stripe.lane(lane);
-            ids.clear();
-            // A post error may leave the item's earlier verbs in flight;
-            // tag them anyway so the barrier accounts for them.
-            let posted = post(qp, item, &mut ids);
-            if !ids.is_empty() && !touched.contains(&(node, lane)) {
-                touched.push((node, lane));
-            }
-            for id in ids.drain(..) {
-                tags.insert((node.0, lane, id), i);
-            }
-            if let Err(e) = posted {
-                outcomes[i].result = Err(e);
-            }
-            if qp.in_flight() >= depth {
-                settle_completions(&mut outcomes, &tags, node, lane, qp.wait_all());
-            }
-        }
-        for (node, lane) in touched {
-            let comps = self.stripe(node).lane(lane).wait_all();
-            settle_completions(&mut outcomes, &tags, node, lane, comps);
-        }
-        outcomes
     }
 
     /// Backoff-jitter salt: unique per coordinator incarnation and

@@ -50,6 +50,7 @@ pub mod compute;
 pub mod config;
 pub mod context;
 pub mod coordinator;
+pub(crate) mod exec;
 pub mod failed_ids;
 pub mod fd;
 pub mod flight;

@@ -49,10 +49,12 @@ pub trait Workload: Send + Sync + 'static {
     fn execute(&self, co: &mut Coordinator, rng: &mut StdRng) -> Result<(), TxnError>;
 
     /// Draw ONE transaction of the mix as a *declared* request for the
-    /// interleaved scheduler ([`Coordinator::run_interleaved`]). `None`
-    /// means this mix (or this particular draw) cannot be declared ahead
-    /// of execution — inserts, deletes, scans, or value-dependent
-    /// control flow — and must go through [`Workload::execute`].
+    /// interleaved scheduler ([`Coordinator::run_interleaved`]): reads,
+    /// blind writes, read-modify-writes, inserts and deletes of keys
+    /// known before execution. `None` means this mix (or this particular
+    /// draw) cannot be declared ahead of execution — range scans, or
+    /// control flow that depends on a value read — and must go through
+    /// [`Workload::execute`].
     fn request(&self, rng: &mut StdRng) -> Option<TxnRequest> {
         let _ = rng;
         None

@@ -133,9 +133,7 @@ impl<W: Workload> WorkloadRunner<W> {
                     let t0 = std::time::Instant::now();
                     let result = if interleave_batch > 0 {
                         match draw_batch(&*workload, &mut rng, interleave_batch) {
-                            Some(batch) => {
-                                co.run_interleaved_retrying(&batch).map(|(_outcomes, _aborts)| ())
-                            }
+                            Some(batch) => run_batch(&mut co, &batch),
                             // The mix can't be declared — classic path.
                             None => workload.execute(&mut co, &mut rng),
                         }
@@ -341,6 +339,30 @@ fn draw_batch<W: Workload>(workload: &W, rng: &mut StdRng, n: usize) -> Option<V
         batch.push(workload.request(rng)?);
     }
     Some(batch)
+}
+
+/// One scheduler pass over a drawn batch. Like [`Workload::execute`],
+/// no internal retries: an aborted request is an abort the probe counts,
+/// and the next batch draws afresh — a request that can never commit
+/// (TATP inserting a call-forwarding row that exists) must not be
+/// resubmitted forever. A pass that committed nothing reports its first
+/// abort, so the caller backs off.
+fn run_batch(co: &mut Coordinator, batch: &[TxnRequest]) -> Result<(), TxnError> {
+    let mut committed = false;
+    let mut first_abort = None;
+    for result in co.run_interleaved(batch) {
+        match result {
+            Ok(_) => committed = true,
+            Err(e @ TxnError::Aborted(_)) => {
+                first_abort.get_or_insert(e);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    match first_abort {
+        Some(e) if !committed => Err(e),
+        _ => Ok(()),
+    }
 }
 
 /// Ride out a false suspicion (paper §3.3.2, Cor. 4): a live coordinator

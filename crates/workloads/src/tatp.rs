@@ -5,7 +5,7 @@
 //! 2 %, DeleteCallForwarding 2 %.
 
 use dkvs::{TableDef, TableId};
-use pandora::{AbortReason, Coordinator, SimCluster, TxnError};
+use pandora::{AbortReason, Coordinator, SimCluster, TxnError, TxnRequest};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -90,6 +90,46 @@ impl Workload for Tatp {
                     .map(|s| (Self::cf_key(s, 0, 0), encode_value(TATP_VALUE_LEN, s))),
             )
             .expect("load call_forwarding");
+    }
+
+    /// Every draw of the mix declares: the keys depend on the draw
+    /// alone. Same generator calls, in the same order, as
+    /// [`Workload::execute`]; the one difference is UpdateSubscriberData's
+    /// special-facility row, which `execute` skips when absent and an
+    /// `Update` aborts on — both rows of every subscriber are loaded and
+    /// never deleted.
+    fn request(&self, rng: &mut StdRng) -> Option<TxnRequest> {
+        let sub = rng.random_range(0..self.subscribers);
+        let op = rng.random_range(0..100u32);
+        let bump = |old: &[u8]| encode_value(TATP_VALUE_LEN, decode_field(old) + 1);
+        let req = TxnRequest::new();
+        Some(match op {
+            0..=34 => req.read(SUBSCRIBER, sub),
+            35..=44 => {
+                let sf_type = rng.random_range(0..2u64);
+                req.read(SPECIAL_FACILITY, Self::sf_key(sub, sf_type))
+                    .read(CALL_FORWARDING, Self::cf_key(sub, sf_type, 0))
+                    .read(CALL_FORWARDING, Self::cf_key(sub, sf_type, 1))
+            }
+            45..=79 => req.read(ACCESS_INFO, Self::ai_key(sub, rng.random_range(0..2u64))),
+            80..=81 => {
+                let sf = Self::sf_key(sub, rng.random_range(0..2u64));
+                req.update(SUBSCRIBER, sub, bump).update(SPECIAL_FACILITY, sf, bump)
+            }
+            82..=95 => req.update(SUBSCRIBER, sub, bump),
+            96..=97 => {
+                let key = Self::cf_key(sub, rng.random_range(0..2u64), rng.random_range(0..4u64));
+                req.read(SUBSCRIBER, sub).insert(
+                    CALL_FORWARDING,
+                    key,
+                    encode_value(TATP_VALUE_LEN, sub),
+                )
+            }
+            _ => {
+                let key = Self::cf_key(sub, rng.random_range(0..2u64), rng.random_range(0..4u64));
+                req.delete(CALL_FORWARDING, key)
+            }
+        })
     }
 
     fn execute(&self, co: &mut Coordinator, rng: &mut StdRng) -> Result<(), TxnError> {

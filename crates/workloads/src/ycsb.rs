@@ -132,11 +132,18 @@ impl Workload for Ycsb {
     }
 
     fn request(&self, rng: &mut StdRng) -> Option<pandora::TxnRequest> {
-        // A/B/C/F touch only loaded keys and declare cleanly; D and E
-        // need inserts / range scans and stay on the classic path.
+        // A/B/C/F touch only loaded keys, D reads near the insert
+        // frontier and inserts at it; E's range scans stay on the
+        // classic path.
         let p = rng.random_range(0..100u32);
         let req = pandora::TxnRequest::new();
         match self.mix {
+            YcsbMix::D => Some(if p < 95 {
+                req.read(YCSB_TABLE, self.read_latest(rng))
+            } else {
+                let key = self.next_insert.fetch_add(1, Ordering::Relaxed);
+                req.insert(YCSB_TABLE, key, encode_value(YCSB_VALUE_LEN, key))
+            }),
             YcsbMix::A | YcsbMix::B => {
                 let key = self.pick(rng);
                 let read_pct = if self.mix == YcsbMix::A { 50 } else { 95 };
@@ -157,7 +164,7 @@ impl Workload for Ycsb {
                     })
                 })
             }
-            YcsbMix::D | YcsbMix::E => None,
+            YcsbMix::E => None,
         }
     }
 

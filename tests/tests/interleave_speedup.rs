@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use dkvs::{TableDef, TableId};
 use pandora::{
-    AbortReason, Coordinator, ProtocolKind, SimCluster, SystemConfig, TxnError, TxnRequest,
+    AbortReason, Coordinator, ProtocolKind, SimCluster, SystemConfig, Txn, TxnError, TxnRequest,
 };
 use rdma_sim::LatencyModel;
 
@@ -187,15 +187,55 @@ fn read_meeting_a_sibling_slots_lock_aborts_at_once() {
     assert_eq!(counter(&cluster.peek(KV, 5).unwrap()), 3);
 }
 
+/// Two requests that abort each other — each reads the key the other
+/// locks — do so again on every pass that admits them together: posted
+/// effects are eager and resubmission keeps the order. The retrying
+/// wrapper must follow a pass that committed nothing with a pass that
+/// admits one request at a time. Bounded by the abort count, not by a
+/// time-out: without that rule this test never returns.
+#[test]
+fn crossing_read_update_pair_commits() {
+    let bump = |old: &[u8]| value(counter(old) + 1);
+    for stripes in [1, 4] {
+        let config = SystemConfig::new(ProtocolKind::Pandora)
+            .with_inflight_txns(2)
+            .with_qp_stripes(stripes);
+        let cluster = build(config, 0);
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        let crossing = || {
+            vec![
+                TxnRequest::new().read(KV, 5).update(KV, 6, bump),
+                TxnRequest::new().read(KV, 6).update(KV, 5, bump),
+            ]
+        };
+        // Warm the address cache, so that both requests post at admission.
+        for req in crossing() {
+            co.run_interleaved_retrying(&[req]).expect("warm-up commits");
+        }
+        let (outcomes, aborts) = co.run_interleaved_retrying(&crossing()).expect("both commit");
+        assert_eq!(outcomes.len(), 2);
+        assert!(
+            aborts <= 2,
+            "{stripes} stripes: {aborts} aborts for a pair that commits one by one"
+        );
+        assert_eq!(counter(&cluster.peek(KV, 5).unwrap()), 2);
+        assert_eq!(counter(&cluster.peek(KV, 6).unwrap()), 2);
+    }
+}
+
 /// With interleaving off the request entry points run each request as a
-/// `Txn`, and end in the same state as the closure API.
+/// `Txn`, and end in the same state as the closure API — updates,
+/// inserts and deletes alike. With it on, a slot batch of the same
+/// requests ends there too.
 #[test]
 fn request_path_with_interleaving_off_matches_the_closure_path() {
-    let state = |cluster: &SimCluster| {
-        (0..512u64).map(|k| counter(&cluster.peek(KV, k).unwrap())).collect()
+    // Counters of the loaded keys (`None` = deleted), then the inserted.
+    let state = |cluster: &SimCluster| -> Vec<Option<u64>> {
+        let keys = (0..512u64).chain(3000..3008);
+        keys.map(|k| cluster.peek(KV, k).map(|v| counter(&v))).collect()
     };
     let baseline = SystemConfig::new(ProtocolKind::Pandora);
-    let by_closures: Vec<u64> = {
+    let by_closures = {
         let cluster = build(baseline, 0);
         let (mut co, _lease) = cluster.coordinator().unwrap();
         for base in (0..32u64).map(|i| (i * 4) % 512) {
@@ -208,69 +248,121 @@ fn request_path_with_interleaving_off_matches_the_closure_path() {
             })
             .expect("commits");
         }
+        for i in 0..8u64 {
+            co.run(|txn| {
+                txn.insert(KV, 3000 + i, &value(i))?;
+                txn.delete(KV, 256 + i)
+            })
+            .expect("commits");
+        }
         state(&cluster)
     };
-    let by_requests: Vec<u64> = {
-        let cluster = build(baseline, 0);
+    let churn = || -> Vec<TxnRequest> {
+        (0..8u64)
+            .map(|i| TxnRequest::new().insert(KV, 3000 + i, value(i)).delete(KV, 256 + i))
+            .collect()
+    };
+    let by_requests = |config: SystemConfig| {
+        let cluster = build(config, 0);
         let (mut co, _lease) = cluster.coordinator().unwrap();
         for round in 0..8u64 {
             co.run_interleaved_retrying(&batch(4, round)).expect("commits");
         }
+        co.run_interleaved_retrying(&churn()).expect("commits");
         state(&cluster)
     };
-    assert_eq!(by_closures, by_requests, "request path diverges from the closure path");
+    assert_eq!(by_closures, by_requests(baseline), "request path diverges from the closure path");
+    let slots = baseline.with_inflight_txns(4).with_qp_stripes(2);
+    assert_eq!(by_closures, by_requests(slots), "slot batch diverges from the closure path");
 }
 
-/// One commit pipeline, two drivers: a warm 4-write transaction issues
-/// the same verbs whether a `Txn` drives it to completion or it runs as
-/// the only request of a 2-slot scheduler — except that the slot, whose
-/// log lane is shared, also truncates it (f+1 WRITEs of one word).
+/// One transaction machine, two drivers: the same transaction issues
+/// the same verbs — execute phase and commit pipeline — whether a `Txn`
+/// drives it to completion or it runs as the only request of a 2-slot
+/// scheduler, cold (probe path) and warm (lock CAS fused with the
+/// under-lock READ); the slot, whose log lane is shared, adds only the
+/// lane's truncation (f+1 WRITEs of one word).
 #[test]
 fn txn_and_scheduler_slot_issue_the_same_commit_verbs() {
-    let writes = |gen: u64| (0..4u64).map(move |k| (k, value(gen)));
-    let run_txn = |cluster: &SimCluster| {
-        let (mut co, _lease) = cluster.coordinator().unwrap();
-        let mut commit = |gen: u64| {
-            co.run(|txn| writes(gen).try_for_each(|(k, v)| txn.write(KV, k, &v)))
-                .expect("commits");
-        };
-        commit(1); // warms the address cache
-        let before = cluster.ctx.fabric.total_counters();
-        commit(2);
-        (before, cluster.ctx.fabric.total_counters())
+    type Shape = (&'static str, fn(&mut Txn<'_>) -> Result<(), TxnError>, fn() -> TxnRequest);
+    let shapes: [Shape; 4] = [
+        (
+            "update",
+            |txn| (0..4u64).try_for_each(|k| txn.write(KV, k, &value(2))),
+            || (0..4u64).fold(TxnRequest::new(), |r, k| r.write(KV, k, value(2))),
+        ),
+        (
+            "insert",
+            |txn| (3000..3002u64).try_for_each(|k| txn.insert(KV, k, &value(2))),
+            || (3000..3002u64).fold(TxnRequest::new(), |r, k| r.insert(KV, k, value(2))),
+        ),
+        (
+            "delete",
+            |txn| (10..12u64).try_for_each(|k| txn.delete(KV, k)),
+            || (10..12u64).fold(TxnRequest::new(), |r, k| r.delete(KV, k)),
+        ),
+        (
+            "read-then-write",
+            |txn| {
+                txn.read(KV, 20)?;
+                txn.write(KV, 20, &value(2))?;
+                txn.read(KV, 21).map(|_| ())
+            },
+            || TxnRequest::new().read(KV, 20).write(KV, 20, value(2)).read(KV, 21),
+        ),
+    ];
+    // Warm = the address cache knows every loaded key the shapes touch.
+    let warm_up = |co: &mut Coordinator| {
+        co.run(|txn| {
+            [0, 1, 2, 3, 10, 11, 20, 21].iter().try_for_each(|&k| txn.read(KV, k).map(drop))
+        })
+        .expect("warm-up commits");
     };
-    let run_slot = |cluster: &SimCluster| {
-        let (mut co, _lease) = cluster.coordinator().unwrap();
-        let mut commit = |gen: u64| {
-            let req = writes(gen).fold(TxnRequest::new(), |r, (k, v)| r.write(KV, k, v));
-            co.run_interleaved_retrying(&[req]).expect("commits");
-        };
-        commit(1);
-        let before = cluster.ctx.fabric.total_counters();
-        commit(2);
-        (before, cluster.ctx.fabric.total_counters())
-    };
-    let (t0, t1) = run_txn(&build(SystemConfig::new(ProtocolKind::Pandora), 0));
     let two_slots = SystemConfig::new(ProtocolKind::Pandora).with_inflight_txns(2);
-    let (s0, s1) = run_slot(&build(two_slots, 0));
-
-    // The pinned warm layout (DESIGN.md §10), replication 2: per write
-    // one lock CAS fused with one under-lock READ; f+1 = 2 log WRITEs;
-    // value + version on both replicas of each object; 4 unlocks.
-    assert_eq!(t1.cas - t0.cas, 4);
-    assert_eq!(t1.reads - t0.reads, 4);
-    assert_eq!(t1.writes - t0.writes, 2 + 4 * 2 * 2 + 4);
-    assert_eq!(t1.flushes - t0.flushes, 0);
-
-    assert_eq!(s1.cas - s0.cas, t1.cas - t0.cas);
-    assert_eq!(s1.reads - s0.reads, t1.reads - t0.reads);
-    assert_eq!(s1.bytes_read - s0.bytes_read, t1.bytes_read - t0.bytes_read);
-    assert_eq!(s1.writes - s0.writes, t1.writes - t0.writes + 2, "f+1 lane truncations");
-    assert_eq!(
-        s1.bytes_written - s0.bytes_written,
-        t1.bytes_written - t0.bytes_written + 2 * 8,
-        "a truncation zeroes one word"
-    );
+    for (name, body, request) in shapes {
+        for warm in [false, true] {
+            let measure = |config: SystemConfig, run: &dyn Fn(&mut Coordinator)| {
+                let cluster = build(config, 0);
+                let (mut co, _lease) = cluster.coordinator().unwrap();
+                if warm {
+                    warm_up(&mut co);
+                }
+                let before = cluster.ctx.fabric.total_counters();
+                run(&mut co);
+                (before, cluster.ctx.fabric.total_counters())
+            };
+            let (t0, t1) = measure(SystemConfig::new(ProtocolKind::Pandora), &|co| {
+                co.run(body).expect("commits");
+            });
+            let (s0, s1) = measure(two_slots, &|co| {
+                co.run_interleaved_retrying(&[request()]).expect("commits");
+            });
+            let label = format!("{name}, {}", if warm { "warm" } else { "cold" });
+            if name == "update" && warm {
+                // The pinned warm layout (DESIGN.md §10), replication 2:
+                // per write one lock CAS fused with one under-lock READ;
+                // f+1 = 2 log WRITEs; value + version on both replicas of
+                // each object; 4 unlocks.
+                assert_eq!(t1.cas - t0.cas, 4);
+                assert_eq!(t1.reads - t0.reads, 4);
+                assert_eq!(t1.writes - t0.writes, 2 + 4 * 2 * 2 + 4);
+            }
+            assert_eq!(s1.cas - s0.cas, t1.cas - t0.cas, "{label}: CAS");
+            assert_eq!(s1.reads - s0.reads, t1.reads - t0.reads, "{label}: READs");
+            assert_eq!(s1.bytes_read - s0.bytes_read, t1.bytes_read - t0.bytes_read, "{label}");
+            assert_eq!(s1.flushes - s0.flushes, t1.flushes - t0.flushes, "{label}: flushes");
+            assert_eq!(
+                s1.writes - s0.writes,
+                t1.writes - t0.writes + 2,
+                "{label}: f+1 lane truncations"
+            );
+            assert_eq!(
+                s1.bytes_written - s0.bytes_written,
+                t1.bytes_written - t0.bytes_written + 2 * 8,
+                "{label}: a truncation zeroes one word"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -402,15 +402,22 @@ fn concurrent_distinct_recoveries_with_a_killed_recoverer() {
 
 /// Interleaved-scheduler crash sweep: a coordinator driving K > 1
 /// transactions through the slot scheduler is killed at every verb
-/// offset, leaving several log lanes and lock sets behind at once.
-/// One recovery pass must resolve *all* of them — per-pair atomicity,
-/// zero residual locks, conservation — and the sweep must hit at least
-/// one state where multiple lanes held entries (the multi-lane walk is
-/// actually exercised, not just the PR-9 single-lane case).
+/// offset, leaving several log lanes and lock sets behind at once. The
+/// batch mixes every write kind — transfers (update + update), an
+/// account moved to a new key (delete + insert), part of a balance
+/// split off into a new account (update + insert), an account closed
+/// into another (delete + update) — so multi-lane batch log recovery
+/// sees insert and delete records in lanes >= 1. One recovery pass must
+/// resolve *all* of them: every request ends either where the
+/// uninterrupted control run leaves it or where it started, an acked
+/// request where the control leaves it, zero residual locks, replicas
+/// agree, money conserved — cold (everything through the blocking
+/// ladder) and warm (locks posted at admission). The sweep must hit at
+/// least one state where multiple lanes held entries (the multi-lane
+/// walk is actually exercised).
 #[test]
 fn interleaved_crash_sweep_recovers_all_inflight_txns() {
-    const PAIRS: [(u64, u64); 4] = [(0, 8), (1, 9), (2, 10), (3, 11)];
-
+    const FRESH: u64 = N_ACCOUNTS; // first key no account is loaded at
     let build_interleaved = || {
         let cluster = SimCluster::builder(ProtocolKind::Pandora)
             .memory_nodes(3)
@@ -430,54 +437,106 @@ fn interleaved_crash_sweep_recovers_all_inflight_txns() {
             .unwrap();
         cluster
     };
+    let add = |d: i64| move |old: &[u8]| value(balance(old) + d);
+    // The requests, and the keys each one writes.
+    let footprints: [&[u64]; 5] = [&[0, 8], &[1, FRESH], &[2, 10], &[3, FRESH + 1], &[4, 12]];
+    let batch = || {
+        vec![
+            TxnRequest::new()
+                .update(ACCOUNTS, 0, add(-AMOUNT))
+                .update(ACCOUNTS, 8, add(AMOUNT)),
+            TxnRequest::new().delete(ACCOUNTS, 1).insert(ACCOUNTS, FRESH, value(INITIAL)),
+            TxnRequest::new()
+                .update(ACCOUNTS, 2, add(-AMOUNT))
+                .update(ACCOUNTS, 10, add(AMOUNT)),
+            TxnRequest::new().update(ACCOUNTS, 3, add(-AMOUNT)).insert(
+                ACCOUNTS,
+                FRESH + 1,
+                value(AMOUNT),
+            ),
+            TxnRequest::new().delete(ACCOUNTS, 4).update(ACCOUNTS, 12, add(INITIAL)),
+        ]
+    };
+    let keys = 0..FRESH + 2;
+    let snapshot = |cluster: &SimCluster| -> Vec<Option<i64>> {
+        keys.clone().map(|k| cluster.peek(ACCOUNTS, k).map(|v| balance(&v))).collect()
+    };
+    let initial = snapshot(&build_interleaved());
+    let control = {
+        let cluster = build_interleaved();
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        let results = co.run_interleaved(&batch());
+        assert!(results.iter().all(|r| r.is_ok()), "control run had failures: {results:?}");
+        snapshot(&cluster)
+    };
+    assert_ne!(initial, control);
 
     let mut max_logged = 0usize;
     let mut fired_cells = 0u64;
-    for at_op in 1..=48u64 {
-        let label = format!("interleaved crash at verb {at_op}");
-        let cluster = build_interleaved();
-        let (mut co, lease) = cluster.coordinator().unwrap();
-        co.injector().arm(CrashPlan { at_op, mode: CrashMode::AfterOp });
-        let reqs: Vec<TxnRequest> = PAIRS
-            .iter()
-            .map(|&(from, to)| {
-                TxnRequest::new()
-                    .update(ACCOUNTS, from, |old| value(balance(old) - AMOUNT))
-                    .update(ACCOUNTS, to, |old| value(balance(old) + AMOUNT))
-            })
-            .collect();
-        let results = co.run_interleaved(&reqs);
-        if !co.injector().is_crashed() {
-            // Past the batch's last verb: everything committed cleanly.
-            assert!(results.iter().all(|r| r.is_ok()), "{label}: clean run had failures");
-            continue;
-        }
-        fired_cells += 1;
-        co.gate().mark_dead();
-        let report = cluster.fd.declare_failed(lease.coord_id).expect("recovery runs");
-        assert!(report.completed, "{label}: recovery incomplete");
-        max_logged = max_logged.max(report.logged_txns);
-        audit_clean(&cluster, &label);
-        let b = balances(&cluster);
-        for &(from, to) in &PAIRS {
-            let (from, to) = (from as usize, to as usize);
-            let applied = b[from] == INITIAL - AMOUNT && b[to] == INITIAL + AMOUNT;
-            let rolled_back = b[from] == INITIAL && b[to] == INITIAL;
-            assert!(
-                applied || rolled_back,
-                "{label}: pair ({from},{to}) torn: ({}, {})",
-                b[from],
-                b[to]
-            );
-            // A transaction the scheduler acked as committed must
-            // survive recovery (post-ack durability).
-            let idx = PAIRS.iter().position(|&(f, _)| f == from as u64).unwrap();
-            if results[idx].is_ok() {
-                assert!(applied, "{label}: acked txn ({from},{to}) rolled back by recovery");
+    for warm in [false, true] {
+        for at_op in 1..=160u64 {
+            let label = format!("interleaved crash at verb {at_op} (warm: {warm})");
+            let cluster = build_interleaved();
+            let (mut co, lease) = cluster.coordinator().unwrap();
+            if warm {
+                let reads = keys.clone().fold(TxnRequest::new(), |r, k| r.read(ACCOUNTS, k));
+                assert!(co.run_interleaved(&[reads])[0].is_ok(), "{label}: warm-up failed");
+            }
+            let at_op = co.injector().ops_issued() + at_op;
+            co.injector().arm(CrashPlan { at_op, mode: CrashMode::AfterOp });
+            let results = co.run_interleaved(&batch());
+            if !co.injector().is_crashed() {
+                // Past the batch's last verb: everything committed cleanly.
+                assert!(results.iter().all(|r| r.is_ok()), "{label}: clean run had failures");
+                assert_eq!(snapshot(&cluster), control, "{label}: clean run diverges");
+                break;
+            }
+            fired_cells += 1;
+            co.gate().mark_dead();
+            let report = cluster.fd.declare_failed(lease.coord_id).expect("recovery runs");
+            assert!(report.completed, "{label}: recovery incomplete");
+            max_logged = max_logged.max(report.logged_txns);
+            cluster.fd.recovery().recycle_failed_ids();
+            assert_eq!(cluster.ctx.failed.population(), 0, "{label}: failed ids not recycled");
+            for k in keys.clone() {
+                let replicas: Vec<_> = cluster
+                    .replica_nodes(ACCOUNTS, k)
+                    .into_iter()
+                    .filter_map(|node| cluster.raw_slot(ACCOUNTS, k, node))
+                    .collect();
+                for (lock, _, _) in &replicas {
+                    assert!(!lock.is_locked(), "{label}: residual lock on key {k}");
+                }
+                let live = |r: &(_, dkvs::VersionWord, Vec<u8>)| {
+                    r.1.is_present().then(|| (r.1, r.2.clone()))
+                };
+                assert!(
+                    replicas.windows(2).all(|w| live(&w[0]) == live(&w[1])),
+                    "{label}: replicas diverge on key {k}"
+                );
+            }
+            let after = snapshot(&cluster);
+            let total: i64 = after.iter().flatten().sum();
+            assert_eq!(total, N_ACCOUNTS as i64 * INITIAL, "{label}: money not conserved");
+            for (r, footprint) in footprints.iter().enumerate() {
+                let at = |state: &[Option<i64>]| -> Vec<Option<i64>> {
+                    footprint.iter().map(|&k| state[k as usize]).collect()
+                };
+                let applied = at(&after) == at(&control);
+                assert!(
+                    applied || at(&after) == at(&initial),
+                    "{label}: request {r} torn: {:?}",
+                    at(&after)
+                );
+                // A transaction the scheduler acked as committed must
+                // survive recovery (post-ack durability).
+                if results[r].is_ok() {
+                    assert!(applied, "{label}: acked request {r} rolled back by recovery");
+                }
             }
         }
     }
-    assert!(fired_cells >= 24, "sweep too short: only {fired_cells} cells crashed mid-flight");
+    assert!(fired_cells >= 48, "sweep too short: only {fired_cells} cells crashed mid-flight");
     assert!(
         max_logged >= 2,
         "no crash state had multiple logged lanes (max {max_logged}) — the multi-lane \
