@@ -541,14 +541,16 @@ fn cmd_recovery(args: &Args) -> Result<(), ParseError> {
     );
     for r in &reports {
         println!(
-            "  coord {}: fence={:?} log-recovery={:?} notify={:?} total={:?} verbs={} barriers={}",
+            "  coord {}: fence={:?} log-recovery={:?} notify={:?} total={:?} verbs={} barriers={} \
+             fanouts={}",
             r.coord,
             r.link_termination,
             r.log_recovery,
             r.stray_notification,
             r.total,
             r.verbs,
-            r.barriers
+            r.barriers,
+            r.link_fanouts
         );
     }
     if let Some(path) = args.get("metrics-json") {

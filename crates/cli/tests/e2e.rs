@@ -203,7 +203,7 @@ fn recovery_reports_latency() {
         text.contains("µs") || text.contains("us") || text.contains("recover"),
         "recovery must report a latency:\n{text}"
     );
-    for budget in [" verbs=", " barriers="] {
+    for budget in [" verbs=", " barriers=", " fanouts=1"] {
         assert_eq!(text.matches(budget).count(), 2, "one budget per coordinator:\n{text}");
     }
 }

@@ -3,10 +3,14 @@
 //! A compute server hosts many transaction coordinators (the paper runs
 //! up to 512 per node, Table 2) behind **one** network identity: when
 //! the server dies, every coordinator on it dies at once, and one
-//! active-link termination fences them all. [`ComputeNode`] models this
-//! grouping — a shared endpoint and a shared [`FaultInjector`] — while
-//! each coordinator keeps its own coordinator-id, heartbeat lease, and
-//! queue pairs.
+//! active-link termination fences them all — literally one: the recovery
+//! coordinator remembers an endpoint every memory node acknowledged
+//! revoking, so [`ComputeNode::recover_all`] sends the revocation
+//! fan-out with the first coordinator it recovers and the reports'
+//! `link_fanouts` sum to 1. [`ComputeNode`] models this grouping — a
+//! shared endpoint and a shared [`FaultInjector`] — while each
+//! coordinator keeps its own coordinator-id, heartbeat lease, and queue
+//! pairs.
 
 use std::sync::Arc;
 

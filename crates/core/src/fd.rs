@@ -228,6 +228,15 @@ impl FailureDetector {
         st.free_ids.push(coord_id);
     }
 
+    /// A falsely suspected compute server rejoins: `endpoint` is restored
+    /// on every live memory node and the resident RC forgets having
+    /// terminated it, so the server's next suspicion is fenced again
+    /// instead of being skipped as already revoked. Its coordinators
+    /// register afresh — the suspected ids stay failed.
+    pub fn rejoin(&self, endpoint: EndpointId) {
+        self.healthy_rc().restore_links(endpoint);
+    }
+
     /// Manually declare a coordinator failed and run recovery now
     /// (experiments bypass the heartbeat wait with this; the end-to-end
     /// path including detection is [`FailureDetector::start_monitor`]).

@@ -6,13 +6,17 @@
 //!    coordinator failed.
 //! 2. **Active-link termination** — revoke the failed server's RDMA
 //!    rights on every memory node via control-path RPCs, so even a
-//!    falsely-suspected server can no longer touch memory (Cor1).
+//!    falsely-suspected server can no longer touch memory (Cor1). The
+//!    unit is the *server* (its endpoint), not the coordinator-id: an RC
+//!    remembers an endpoint every memory node acknowledged revoking and
+//!    the server's other coordinator-ids skip the fan-out (see
+//!    `RecoveryCoordinator::terminate_links`).
 //! 3. **Log recovery** — read the f+1 log regions, reconstruct each
 //!    Logged-Stray-Tx, and roll it forward iff *every* replica of *every*
 //!    write-set object was updated (commit-ack possible, abort-ack
 //!    impossible — Cor2/Cor3); otherwise roll it back from the undo
-//!    images. All logs are then truncated, making re-execution of any
-//!    step idempotent (§3.2.3).
+//!    images. Every lane header the READs found set is then zeroed,
+//!    making re-execution of any step idempotent (§3.2.3).
 //! 4. **Stray-lock notification** — set the failed-id bit so live
 //!    coordinators start stealing the NotLogged strays (only now: Cor4).
 //!
@@ -21,13 +25,14 @@
 //! scheme reads its lock-intent logs instead of scanning but still stops
 //! the world. Both are implemented here for the evaluation.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dkvs::hash::FxHashMap;
 use dkvs::{
-    log_lane_offset, LockWord, LogEntry, NodeSet, SlotLayout, TableId, UndoRecord,
-    LOG_REGION_BYTES, TXN_LOG_LANES,
+    log_lane_offset, LockWord, LogEntry, SlotLayout, TableId, UndoRecord, LOG_REGION_BYTES,
+    TXN_LOG_LANES,
 };
 use parking_lot::Mutex;
 use rdma_sim::{
@@ -131,8 +136,9 @@ pub struct RecoveryReport {
     /// recoveries driven directly through an RC leave it zero.
     pub detection: Duration,
     /// Step 2 — active-link termination: revoking the failed endpoint's
-    /// RDMA rights on every memory node (for the blocking schemes, the
-    /// revocation loop over the whole failed batch).
+    /// RDMA rights on every memory node (for the blocking schemes, every
+    /// distinct endpoint of the failed batch). Near zero when the RC had
+    /// already fenced the server — see [`RecoveryReport::link_fanouts`].
     pub link_termination: Duration,
     /// Step 3 — wall time of the log-recovery step only (what Table 2
     /// reports). For the blocking schemes this includes the stray-lock
@@ -164,6 +170,10 @@ pub struct RecoveryReport {
     /// Completion barriers taken in log recovery — the round trips the
     /// step costs. A phase with nothing to post takes none.
     pub barriers: u32,
+    /// Link-termination RPC fan-outs this run issued: one per endpoint
+    /// the RC did not already know to be revoked on every memory node —
+    /// 0 or 1 for a Pandora recovery, so a server's coordinators sum to 1.
+    pub link_fanouts: u32,
 }
 
 impl RecoveryReport {
@@ -267,6 +277,11 @@ fn word(reply: &[u8]) -> u64 {
     u64::from_le_bytes(reply.try_into().expect("8-byte READ"))
 }
 
+/// Offset of every lane header within a log region, ascending.
+fn lane_offsets() -> impl Iterator<Item = u64> {
+    (0..TXN_LOG_LANES as u32).map(log_lane_offset)
+}
+
 /// The Recovery Coordinator (RC): a thread on a standard compute server
 /// (paper §3.2.2 step 3) with its own endpoint and queue pairs.
 ///
@@ -280,6 +295,9 @@ pub struct RecoveryCoordinator {
     injector: Arc<FaultInjector>,
     /// Armed by tests/CLI to kill this RC at a step's verb boundary.
     crash_plan: Mutex<Option<RecoveryCrashPlan>>,
+    /// Endpoints this RC has terminated with every memory node
+    /// acknowledging (see [`Self::terminate_links`]).
+    terminated: Mutex<HashSet<EndpointId>>,
 }
 
 impl RecoveryCoordinator {
@@ -298,7 +316,13 @@ impl RecoveryCoordinator {
         for n in ctx.fabric.node_ids() {
             qps.push(ctx.fabric.qp(endpoint, n, Arc::clone(&injector))?);
         }
-        Ok(RecoveryCoordinator { ctx, qps, injector, crash_plan: Mutex::new(None) })
+        Ok(RecoveryCoordinator {
+            ctx,
+            qps,
+            injector,
+            crash_plan: Mutex::new(None),
+            terminated: Mutex::new(HashSet::new()),
+        })
     }
 
     /// This RC's fault injector.
@@ -408,6 +432,56 @@ impl RecoveryCoordinator {
         r
     }
 
+    /// Steps 1–2 of every scheme: the "right after detection" crash point
+    /// (the recoverer dies before doing anything at all), then active-link
+    /// termination (Cor1) of each distinct endpoint in `endpoints`.
+    /// Returns the RPC fan-outs issued.
+    ///
+    /// Revocation is a one-time change of a *server's* permission, so it
+    /// runs once per endpoint, not once per coordinator-id: an endpoint
+    /// whose revocation **every** memory node of the fabric acknowledged
+    /// is remembered, and the server's other coordinators skip the
+    /// fan-out. Fewer acknowledgements (a memory node was down, and may
+    /// come back with the endpoint still admitted) record nothing, so the
+    /// next coordinator-id of that server terminates again. The memory is
+    /// this RC's own: a fresh RC after a takeover terminates again, and
+    /// [`Self::restore_links`] forgets a falsely suspected server that
+    /// rejoins. The lock is held across the fan-out, so a concurrent
+    /// recovery of the same server waits for the acknowledgements instead
+    /// of reading logs beside a half-terminated endpoint.
+    ///
+    /// The revocation is a control-path RPC (it does not flow through
+    /// this RC's QPs), so a dead RC skips it outright rather than
+    /// half-executing it.
+    fn terminate_links(&self, endpoints: impl IntoIterator<Item = EndpointId>) -> u32 {
+        self.enter_step(RecoveryStep::Detection);
+        self.enter_step(RecoveryStep::LinkTermination);
+        if self.injector.is_crashed() {
+            return 0;
+        }
+        let mut terminated = self.terminated.lock();
+        let mut issued = Vec::new();
+        for endpoint in endpoints {
+            if terminated.contains(&endpoint) || issued.contains(&endpoint) {
+                continue;
+            }
+            issued.push(endpoint);
+            if self.ctx.fabric.revoke_everywhere(endpoint) == self.ctx.fabric.num_nodes() as usize {
+                terminated.insert(endpoint);
+            }
+        }
+        issued.len() as u32
+    }
+
+    /// Re-admit a falsely suspected server: restore `endpoint` on every
+    /// live memory node and forget that it was terminated, so its next
+    /// suspicion is fenced again.
+    pub fn restore_links(&self, endpoint: EndpointId) {
+        let mut terminated = self.terminated.lock();
+        self.ctx.fabric.restore_everywhere(endpoint);
+        terminated.remove(&endpoint);
+    }
+
     /// Full compute-failure recovery for one coordinator, dispatching on
     /// the configured protocol.
     pub fn recover_compute(&self, coord: u16, endpoint: EndpointId) -> RecoveryReport {
@@ -428,16 +502,9 @@ impl RecoveryCoordinator {
     pub fn recover_pandora(&self, coord: u16, endpoint: EndpointId) -> RecoveryReport {
         let t0 = Instant::now();
         let ops0 = self.injector.ops_issued();
-        // Crash point "right after detection": the recoverer dies before
-        // doing anything at all.
-        self.enter_step(RecoveryStep::Detection);
-        // Step 2: active-link termination (Cor1). The revocation is a
-        // control-path RPC (it does not flow through this RC's QPs), so a
-        // dead RC skips it outright rather than half-executing it.
-        self.enter_step(RecoveryStep::LinkTermination);
-        if !self.injector.is_crashed() {
-            self.ctx.fabric.revoke_everywhere(endpoint);
-        }
+        // Step 2: active-link termination, unless this RC already fenced
+        // the server for another of its coordinator-ids.
+        let link_fanouts = self.terminate_links([endpoint]);
         let link_termination = t0.elapsed();
 
         // Step 3: log recovery.
@@ -445,6 +512,7 @@ impl RecoveryCoordinator {
         let mut report = self.log_recovery(coord, &self.ctx.map.log_servers(coord));
         report.log_recovery = t_log.elapsed();
         report.link_termination = link_termination;
+        report.link_fanouts = link_fanouts;
 
         // Step 4: stray-lock notification (strictly after log recovery —
         // Cor4: only NotLogged strays may be stolen). A crashed RC must
@@ -469,7 +537,8 @@ impl RecoveryCoordinator {
     /// entries (f+1 copies; some may be torn/missing), and resolve *all*
     /// of the coordinator's in-flight transactions — the interleaved
     /// scheduler keeps up to [`dkvs::TXN_LOG_LANES`] of them in flight,
-    /// one per log lane. Idempotent: ends by truncating all regions.
+    /// one per log lane. Idempotent: ends with every lane header of every
+    /// live log copy zero.
     ///
     /// Lane walk: a scheduler slot writes its entry at its own lane
     /// offset; the classic engine writes at the region base and its
@@ -510,20 +579,36 @@ impl RecoveryCoordinator {
         // by issuing f+1 RDMA Reads") in one round trip, then a per-server
         // extent-skip lane walk and a per-lane newest-txn merge across
         // the copies.
+        let copies: Vec<(NodeId, u64)> = log_nodes
+            .iter()
+            .filter(|&&n| !dead.contains(n))
+            .map(|&n| (n, map.log_region(n, coord).base))
+            .collect();
         let mut regions = self.phase();
-        for &node in log_nodes.iter().filter(|&&n| !dead.contains(n)) {
-            let region = map.log_region(node, coord);
-            regions.post(node, region.base, PhaseOp::Read(LOG_REGION_BYTES as usize));
+        for &(node, base) in &copies {
+            regions.post(node, base, PhaseOp::Read(LOG_REGION_BYTES as usize));
         }
         let mut lanes: Vec<FxHashMap<u64, Vec<UndoRecord>>> =
             (0..TXN_LOG_LANES as usize).map(|_| FxHashMap::default()).collect();
-        // A copy whose READ failed is skipped: a timeout that outlasted
-        // the retry ladder has fenced this RC, so nothing below takes
-        // effect, and a log server that died is a copy f+1 logging spares.
-        for buf in regions.barrier(&mut report.barriers).into_iter().flatten() {
+        // The lane headers phase 4 zeroes: those whose state word this
+        // READ found set. The failed server's links were terminated
+        // before this step, so a word that reads zero stays zero.
+        let mut set_headers: Vec<(NodeId, u64)> = Vec::new();
+        for (&(node, base), reply) in copies.iter().zip(regions.barrier(&mut report.barriers)) {
+            // A copy whose READ failed is skipped: a timeout that
+            // outlasted the retry ladder has fenced this RC, so nothing
+            // below takes effect, and a log server that died is a copy f+1
+            // logging spares. Nothing is known of its headers, so all of
+            // them are truncated.
+            let Ok(buf) = reply else {
+                set_headers.extend(lane_offsets().map(|off| (node, base + off)));
+                continue;
+            };
             let mut covered = 0u64; // end of the last decoded entry's extent
-            for (lane, lane_entries) in lanes.iter_mut().enumerate() {
-                let off = log_lane_offset(lane as u32);
+            for (lane_entries, off) in lanes.iter_mut().zip(lane_offsets()) {
+                if word(&buf[off as usize..off as usize + 8]) != 0 {
+                    set_headers.push((node, base + off));
+                }
                 if off < covered {
                     continue; // inside a spanning (classic, solo) entry
                 }
@@ -652,8 +737,16 @@ impl RecoveryCoordinator {
         }
         restore.barrier(&mut report.barriers);
 
-        // Phase 4: truncate every lane of every live log copy.
-        self.truncate_logs(coord, log_nodes, dead, &mut report.barriers);
+        // Phase 4: truncate — zero every lane header phase 1 found set (a
+        // spanning classic entry dies with its lane-0 header; the words
+        // of its body that fall on later lane offsets are zeroed too, as
+        // a blind truncation of all lanes would). Nothing logged: no
+        // verb, no barrier.
+        let mut truncate = self.phase();
+        for &(node, addr) in &set_headers {
+            truncate.post(node, addr, PhaseOp::WriteWord(0));
+        }
+        truncate.barrier(&mut report.barriers);
 
         // Phase 5: owner-checked unlocks, all lanes. An unlock CAS whose
         // completion was lost is settled by re-reading the word (PILL
@@ -686,35 +779,20 @@ impl RecoveryCoordinator {
 
     /// Truncate `coord`'s log and lock-intent regions on every live
     /// memory node (used when an id is returned to the pool, so the next
-    /// holder of the same log slot starts clean).
+    /// holder of the same log slot starts clean). Nothing was read, so
+    /// every lane header is zeroed blind.
     pub fn truncate_all_regions(&self, coord: u16) {
         let dead = self.ctx.dead_set();
+        let map = &self.ctx.map;
         let mut phase = self.phase();
         for node in self.ctx.fabric.node_ids().filter(|&n| !dead.contains(n)) {
-            self.post_lane_truncations(&mut phase, coord, node);
-            phase.post(node, self.ctx.map.intent_region(node, coord).base, PhaseOp::WriteWord(0));
+            let base = map.log_region(node, coord).base;
+            for off in lane_offsets() {
+                phase.post(node, base + off, PhaseOp::WriteWord(0));
+            }
+            phase.post(node, map.intent_region(node, coord).base, PhaseOp::WriteWord(0));
         }
         phase.barrier(&mut 0);
-    }
-
-    /// Truncate every lane of `coord`'s log regions on every live log
-    /// node, in one round trip (counted in `taken`).
-    fn truncate_logs(&self, coord: u16, log_nodes: &[NodeId], dead: NodeSet, taken: &mut u32) {
-        let mut phase = self.phase();
-        for &node in log_nodes.iter().filter(|&&n| !dead.contains(n)) {
-            self.post_lane_truncations(&mut phase, coord, node);
-        }
-        phase.barrier(taken);
-    }
-
-    /// Zero the header of every lane of `coord`'s log region on `node` (a
-    /// spanning classic entry dies with its lane-0 header; lane entries
-    /// die individually).
-    fn post_lane_truncations(&self, phase: &mut Phase<'_>, coord: u16, node: NodeId) {
-        let region = self.ctx.map.log_region(node, coord);
-        for lane in 0..TXN_LOG_LANES as u32 {
-            phase.post(node, region.base + log_lane_offset(lane), PhaseOp::WriteWord(0));
-        }
     }
 
     /// Decoded records carry attacker-grade coordinates (the log codec
@@ -741,20 +819,15 @@ impl RecoveryCoordinator {
     pub fn recover_baseline(&self, failed: &[(u16, EndpointId)]) -> RecoveryReport {
         let t0 = Instant::now();
         let ops0 = self.injector.ops_issued();
-        self.enter_step(RecoveryStep::Detection);
-        self.enter_step(RecoveryStep::LinkTermination);
-        if !self.injector.is_crashed() {
-            for &(_, ep) in failed {
-                self.ctx.fabric.revoke_everywhere(ep);
-            }
-        }
+        let link_fanouts = self.terminate_links(failed.iter().map(|&(_, ep)| ep));
         let link_termination = t0.elapsed();
         let quiesced = self.ctx.pause.pause_and_quiesce(Duration::from_secs(60));
         debug_assert!(quiesced, "a live coordinator failed to quiesce");
 
         let t_log = Instant::now();
         let all_nodes: Vec<NodeId> = self.ctx.fabric.node_ids().collect();
-        let mut report = RecoveryReport { link_termination, ..RecoveryReport::default() };
+        let mut report =
+            RecoveryReport { link_termination, link_fanouts, ..RecoveryReport::default() };
         for &(coord, _) in failed {
             let r = self.log_recovery(coord, &all_nodes);
             report.logged_txns += r.logged_txns;
@@ -833,20 +906,15 @@ impl RecoveryCoordinator {
     pub fn recover_traditional(&self, failed: &[(u16, EndpointId)]) -> RecoveryReport {
         let t0 = Instant::now();
         let ops0 = self.injector.ops_issued();
-        self.enter_step(RecoveryStep::Detection);
-        self.enter_step(RecoveryStep::LinkTermination);
-        if !self.injector.is_crashed() {
-            for &(_, ep) in failed {
-                self.ctx.fabric.revoke_everywhere(ep);
-            }
-        }
+        let link_fanouts = self.terminate_links(failed.iter().map(|&(_, ep)| ep));
         let link_termination = t0.elapsed();
         let quiesced = self.ctx.pause.pause_and_quiesce(Duration::from_secs(60));
         debug_assert!(quiesced, "a live coordinator failed to quiesce");
 
         let t_log = Instant::now();
         let all_nodes: Vec<NodeId> = self.ctx.fabric.node_ids().collect();
-        let mut report = RecoveryReport { link_termination, ..RecoveryReport::default() };
+        let mut report =
+            RecoveryReport { link_termination, link_fanouts, ..RecoveryReport::default() };
         for &(coord, _) in failed {
             let r = self.log_recovery(coord, &all_nodes);
             report.logged_txns += r.logged_txns;
@@ -934,10 +1002,6 @@ impl RecoveryCoordinator {
     /// bits so the ids can be reassigned. Returns (locks released, ids
     /// recycled).
     pub fn recycle_failed_ids(&self) -> (usize, usize) {
-        let failed: Vec<u16> = self.ctx.failed.iter_failed();
-        if failed.is_empty() {
-            return (0, 0);
-        }
         // CAS-guarded claim: two recoverers (e.g. overlapping takeovers
         // of the same coordinator, or the FD's 95% trigger racing a
         // test's explicit call) must not run the scan concurrently —
@@ -948,7 +1012,12 @@ impl RecoveryCoordinator {
         if !self.ctx.failed.try_claim_recycle() {
             return (0, 0);
         }
-        let out = self.recycle_failed_ids_locked(&failed);
+        // The failed set is read under the claim: a list snapshotted
+        // before it could name ids an earlier claimant has since recycled
+        // — and that the FD may have reassigned to live coordinators,
+        // whose locks the scan would then release.
+        let failed = self.ctx.failed.iter_failed();
+        let out = if failed.is_empty() { (0, 0) } else { self.recycle_failed_ids_locked(&failed) };
         self.ctx.failed.release_recycle();
         out
     }
@@ -1013,9 +1082,6 @@ impl RecoveryCoordinator {
         if !scan_complete {
             return (released, 0); // ids stay failed; retry recycling later
         }
-        for id in failed {
-            self.ctx.failed.clear(*id);
-        }
-        (released, failed.len())
+        (released, failed.iter().filter(|&&id| self.ctx.failed.clear(id)).count())
     }
 }

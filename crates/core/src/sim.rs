@@ -238,7 +238,8 @@ impl SimCluster {
         // A running FD monitor may suspect a slow peek — the lease never
         // beats — and terminate the endpoint's links. The next peek
         // rejoins the way a falsely suspected server does: restore the
-        // endpoint, take a fresh coordinator-id, try once more.
+        // endpoint through the FD (whose RC must forget the termination),
+        // take a fresh coordinator-id, try once more.
         for _ in 0..2 {
             let lease = self.fd.register(endpoint);
             let mut co =
@@ -249,7 +250,7 @@ impl SimCluster {
             co.gate().mark_dead();
             match result {
                 Err(TxnError::Rdma(RdmaError::AccessRevoked)) => {
-                    self.ctx.fabric.restore_everywhere(endpoint);
+                    self.fd.rejoin(endpoint);
                 }
                 other => return other.ok()?.0,
             }
@@ -303,6 +304,22 @@ impl SimCluster {
             }
         }
         None
+    }
+
+    /// Raw inspection of `coord`'s undo log: the state word of every lane
+    /// on each log copy that can be read (zero = empty or truncated).
+    /// Test/debug only — bypasses the protocol.
+    pub fn raw_lane_headers(&self, coord: u16) -> Vec<(rdma_sim::NodeId, Vec<u64>)> {
+        let map = &self.ctx.map;
+        let copy = |node| {
+            let qp = self.admin_qp(node)?;
+            let base = map.log_region(node, coord).base;
+            let words = (0..dkvs::TXN_LOG_LANES as u32)
+                .map(|lane| qp.read_u64(base + dkvs::log_lane_offset(lane)).ok())
+                .collect::<Option<_>>()?;
+            Some((node, words))
+        };
+        map.log_servers(coord).iter().filter_map(|&node| copy(node)).collect()
     }
 
     /// The bucket a key actually occupies (following the probe chain on
@@ -395,9 +412,23 @@ mod tests {
     fn peek_rejoins_after_a_false_suspicion() {
         let cluster = cluster();
         assert!(cluster.peek(KV, 1).is_some());
-        // What a monitor that suspected a slow peek leaves behind.
+        // A monitor that suspects a slow peek declares its coordinator
+        // failed: the peek endpoint's links are terminated.
         let endpoint = cluster.inspection().peek_endpoint;
-        cluster.ctx.fabric.revoke_everywhere(endpoint);
+        let node = cluster.primary_node(KV, 1);
+        let suspect = |cluster: &SimCluster| {
+            let lease = cluster.fd.register(endpoint);
+            let qp = cluster.ctx.fabric.qp(endpoint, node, FaultInjector::new()).unwrap();
+            let admitted = qp.read_u64(0).is_ok();
+            let report = cluster.fd.declare_failed(lease.coord_id).expect("recovery runs");
+            assert_eq!(qp.read_u64(0), Err(RdmaError::AccessRevoked));
+            (admitted, report.link_fanouts)
+        };
+        assert_eq!(suspect(&cluster), (true, 1));
+        assert_eq!(cluster.peek(KV, 1), Some(1u64.to_le_bytes().to_vec()));
+        // The rejoin made the RC forget the termination: a restored
+        // endpoint that is suspected again is fenced again.
+        assert_eq!(suspect(&cluster), (true, 1));
         assert_eq!(cluster.peek(KV, 1), Some(1u64.to_le_bytes().to_vec()));
         // Raw inspection rides its own endpoint and never noticed.
         assert!(cluster.raw_slot(KV, 1, cluster.primary_node(KV, 1)).is_some());

@@ -132,3 +132,42 @@ fn concurrent_recyclers_recycle_exactly_once() {
     // One clear = exactly one epoch bump.
     assert_eq!(cluster.ctx.failed.epoch(), epoch_before + 1, "epoch bumped exactly once");
 }
+
+/// The failed set must be read *under* the recycle claim. A recycler
+/// that snapshots the set, is kept off the core while another claimant
+/// scans, clears and releases, and only then wins the claim would scan
+/// with a list of ids that are no longer failed: it reported them
+/// recycled a second time and — had the FD reassigned one meanwhile —
+/// would have released a live coordinator's locks. More racers than
+/// cores, many rounds: the window is a preemption wide.
+#[test]
+fn a_late_claimant_recycles_the_set_it_finds_not_one_it_remembered() {
+    use std::sync::{Arc, Barrier};
+
+    const RACERS: usize = 6;
+    const ROUNDS: u16 = 4_000;
+    let cluster = Arc::new(cluster_with_keys(ProtocolKind::Pandora, 8));
+    let rc = cluster.fd.recovery();
+    let failed = &cluster.ctx.failed;
+    for round in 0..ROUNDS {
+        let id = 40_000 + round;
+        failed.set(id);
+        let epoch = failed.epoch();
+        let barrier = Barrier::new(RACERS);
+        let recycled: usize = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        rc.recycle_failed_ids().1
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("recycler")).sum()
+        });
+        // The first claimant always finds the id set and recycles it.
+        assert_eq!(recycled, 1, "round {round}: id {id} reported recycled {recycled} times");
+        assert_eq!(failed.epoch(), epoch + 1, "round {round}: one clear, one epoch bump");
+        assert!(!failed.contains(id));
+    }
+}

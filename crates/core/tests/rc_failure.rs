@@ -5,8 +5,8 @@
 mod common;
 
 use common::{cluster_with_keys, value_for, KV};
-use pandora::{ProtocolKind, RecoveryCoordinator, TxnError};
-use rdma_sim::{CrashMode, CrashPlan, FaultInjector};
+use pandora::{ProtocolKind, RecoveryCoordinator, RecoveryCrashPlan, RecoveryStep, TxnError};
+use rdma_sim::{CrashMode, CrashPlan, FaultInjector, NodeId, RdmaError};
 
 /// Freeze a coordinator mid-commit (partial apply) and return its lease.
 fn freeze_midcommit(cluster: &pandora::SimCluster) -> (pandora::CoordinatorLease, u64 /* key */) {
@@ -67,6 +67,44 @@ fn rc_crash_mid_recovery_is_reexecutable_at_every_step() {
         co2.run(|txn| txn.write(KV, key, &value_for(key, 5))).unwrap();
         assert_eq!(cluster.peek(KV, key), Some(value_for(key, 5)));
     }
+}
+
+/// What an RC knows of terminated links dies with it. A recoverer killed
+/// on entry to link termination fenced nothing; the fresh RC that takes
+/// over terminates the links itself — before it reads a log: it is killed
+/// on entry to log recovery, with no verb issued, and the failed server
+/// is already refused.
+#[test]
+fn a_fresh_rc_terminates_links_before_it_reads_a_log() {
+    let cluster = cluster_with_keys(ProtocolKind::Pandora, 32);
+    let (lease, _key) = freeze_midcommit(&cluster);
+    let probe = cluster.ctx.fabric.qp(lease.endpoint, NodeId(0), FaultInjector::new()).unwrap();
+    let ctx = || std::sync::Arc::clone(&cluster.ctx);
+
+    let rc1 = RecoveryCoordinator::new(ctx()).unwrap();
+    rc1.arm_recovery_crash(RecoveryCrashPlan { step: RecoveryStep::LinkTermination, at_verb: 0 });
+    let r1 = rc1.recover_pandora(lease.coord_id, lease.endpoint);
+    assert!(!r1.completed);
+    assert_eq!((r1.link_fanouts, r1.verbs), (0, 0), "a dead RC sends nothing");
+    assert!(probe.read_u64(0).is_ok(), "nobody has fenced the failed server yet");
+
+    let rc2 = RecoveryCoordinator::new(ctx()).unwrap();
+    rc2.arm_recovery_crash(RecoveryCrashPlan { step: RecoveryStep::LogRecovery, at_verb: 0 });
+    let r2 = rc2.recover_pandora(lease.coord_id, lease.endpoint);
+    assert!(!r2.completed);
+    assert_eq!((r2.link_fanouts, r2.verbs), (1, 0), "terminated, and no log READ yet");
+    assert_eq!(probe.read_u64(0), Err(RdmaError::AccessRevoked));
+
+    // The same through the FD's takeover: the report is the fresh RC's.
+    let cluster = cluster_with_keys(ProtocolKind::Pandora, 32);
+    let (lease, key) = freeze_midcommit(&cluster);
+    cluster
+        .fd
+        .arm_recovery_crash(RecoveryCrashPlan { step: RecoveryStep::LinkTermination, at_verb: 0 });
+    let report = cluster.fd.declare_failed(lease.coord_id).expect("recovered");
+    assert!(report.completed);
+    assert_eq!((report.attempts, report.link_fanouts), (2, 1));
+    assert_eq!(cluster.peek(KV, key), Some(value_for(key, 0)));
 }
 
 #[test]

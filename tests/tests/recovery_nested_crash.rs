@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use dkvs::{TableDef, TableId};
 use pandora::{
-    FdOutcome, ProtocolKind, QuorumFd, RecoveryCoordinator, RecoveryCrashPlan, RecoveryStep,
-    SimCluster, SystemConfig, TxnRequest,
+    FdOutcome, ProtocolKind, QuorumFd, RecoveryCoordinator, RecoveryCrashPlan, RecoveryReport,
+    RecoveryStep, SimCluster, SystemConfig, TxnRequest,
 };
 use rdma_sim::{ChaosConfig, CrashMode, CrashPlan, EndpointId, NodeId};
 
@@ -115,15 +115,19 @@ fn audit_clean(cluster: &SimCluster, label: &str) {
 
 /// The uninterrupted run: same coordinator crash, recovery with no
 /// nested failures. Its balances are the commit/abort decisions the
-/// nested runs must reproduce.
-fn control_balances(at_op: u64) -> Vec<i64> {
+/// nested runs must reproduce; its report is the recovery's budget.
+fn control(at_op: u64) -> (Vec<i64>, RecoveryReport) {
     let cluster = build(None, false);
     let (coord, _ep) = crash_transfer(&cluster, at_op, 3, 7);
     let report = cluster.fd.declare_failed(coord).expect("control recovery");
     assert!(report.completed);
     assert_eq!(report.attempts, 1, "control recovery must not need takeovers");
     audit_clean(&cluster, &format!("control at_op {at_op}"));
-    balances(&cluster)
+    (balances(&cluster), report)
+}
+
+fn control_balances(at_op: u64) -> Vec<i64> {
+    control(at_op).0
 }
 
 /// The tentpole sweep: (recovery step × crash verb × pinned seed); each
@@ -207,17 +211,22 @@ fn nested_crash_sweep_takeover_converges_to_control() {
 /// Log recovery posts a whole phase before it waits, so a recoverer that
 /// dies a few verbs in dies with the rest of that phase never posted and
 /// the posted part already in memory: the crash lands *inside* a phase,
-/// before its barrier. Offsets 5–13 fall among the lane truncations (or,
-/// with a logged transaction, among the classify READs and the restore
-/// WRITEs), 21 and 34 among the truncations and the unlock CASes of a
-/// roll-back — or past the end of a shorter run, which then completes.
+/// before its barrier. What log recovery issues depends on what the
+/// failure left — two region READs and nothing else when nothing was
+/// logged — so the kill offsets are not guessed: they are the first verb,
+/// the quarter points and the last verb of the uninterrupted control
+/// run's [`RecoveryReport::verbs`], and every one of them fires.
 #[test]
 fn a_kill_inside_a_posted_phase_converges_to_control() {
     for &seed_op in &PINNED_SEEDS {
-        let control = control_balances(seed_op);
-        let mut takeover_cells = 0usize;
-        for at_verb in [5u64, 8, 13, 21, 34] {
-            let label = format!("seed {seed_op}, kill log-recovery:{at_verb}");
+        let (control, budget) = control(seed_op);
+        let verbs = budget.verbs;
+        assert!(verbs >= 2, "seed {seed_op}: log recovery reads two log copies at least");
+        let mut offsets = vec![1, verbs / 4, verbs / 2, verbs * 3 / 4, verbs];
+        offsets.retain(|&at_verb| at_verb >= 1);
+        offsets.dedup();
+        for &at_verb in &offsets {
+            let label = format!("seed {seed_op}, kill log-recovery:{at_verb} of {verbs}");
             let cluster = Arc::new(build(None, true));
             let flight = cluster.flight.clone().expect("flight recorder installed");
             flight.set_chaos_seed(seed_op);
@@ -236,7 +245,9 @@ fn a_kill_inside_a_posted_phase_converges_to_control() {
                         other => panic!("{label}: expected a recovery, got {other:?}"),
                     };
                     assert!(report.completed, "{label}: recovery incomplete after takeovers");
-                    takeover_cells += (report.attempts > 1) as usize;
+                    // Within the budget, so the kill landed — after the
+                    // last verb at the latest, before the notification.
+                    assert_eq!(report.attempts, 2, "{label}: the kill did not fire");
                     audit_clean(&cluster, &label);
                     assert_eq!(
                         balances(&cluster),
@@ -246,12 +257,6 @@ fn a_kill_inside_a_posted_phase_converges_to_control() {
                 }),
             );
         }
-        // Every log recovery issues the two region READs and sixteen
-        // truncations at least, so the three smallest offsets always fire.
-        assert!(
-            takeover_cells >= 3,
-            "seed {seed_op}: only {takeover_cells} kills landed inside log recovery"
-        );
     }
 }
 
@@ -573,17 +578,23 @@ fn chaos_enabled_recovery_completes_and_converges() {
 }
 
 /// A posted verb whose completion reports an ambiguous timeout runs
-/// again through the blocking ladder of its kind. The cell wanted is a
-/// roll-back in which that happens to a restore WRITE of a pre-image
-/// and to an unlock CAS in the same run: every timeout is ambiguous
-/// (dropped, or landed with the completion lost), and seeds are tried in
-/// order until one hits both — found from the verb spans of the
-/// recovery, the only traffic under chaos. Every cell on the way must
-/// converge too, on the first recoverer.
+/// again through the blocking ladder of its kind. Two cells are wanted,
+/// and seeds are tried in order until both were hit — found from the verb
+/// spans of the recovery, the only traffic under chaos, every timeout
+/// ambiguous (dropped, or landed with the completion lost): a roll-back
+/// in which that happens to a restore WRITE of a pre-image and to an
+/// unlock CAS in the same run, and one in which it happens to the region
+/// READ of a log copy, whose lanes must end truncated all the same. Every
+/// cell on the way must converge too, on the first recoverer, with every
+/// lane header of both log copies zero.
 #[test]
 fn ambiguous_timeouts_of_posted_restore_and_unlock_verbs_converge() {
     let control = control_balances(8);
-    let hit = (0..64u64).find(|&seed| {
+    let (mut hit_restore_and_unlock, mut hit_region_read) = (false, false);
+    for seed in 0..64u64 {
+        if hit_restore_and_unlock && hit_region_read {
+            break;
+        }
         let label = format!("ambiguous chaos seed {seed}");
         let chaos_cfg = ChaosConfig {
             p_timeout: 0.15,
@@ -602,19 +613,27 @@ fn ambiguous_timeouts_of_posted_restore_and_unlock_verbs_converge() {
         chaos.set_enabled(false);
         assert!(report.completed && report.attempts == 1, "{label}: {report:?}");
         assert_eq!(report.rolled_back, 1, "{label}");
+        let copies = cluster.raw_lane_headers(coord);
+        assert_eq!(copies.len(), 2, "{label}: both log copies are readable");
+        for (node, words) in copies {
+            assert_eq!(words, [0; 8], "{label}: lane headers left set on {node:?}");
+        }
         audit_clean(&cluster, &label);
         assert_eq!(balances(&cluster), control, "{label}: chaos changed the recovery decision");
         // A failed 16-byte WRITE is a pre-image going back (version and
-        // truncation WRITEs are one word).
+        // truncation WRITEs are one word); a failed 32 KiB READ is a log
+        // copy's region READ.
         let spans = flight.snapshot();
         let failed = |name: &str, bytes: u64| {
             spans
                 .iter()
                 .any(|s| s.start_ns >= t_chaos && !s.ok && s.name == name && s.detail == bytes)
         };
-        failed("WRITE", 16) && failed("CAS", 8)
-    });
-    assert!(hit.is_some(), "no seed timed out both a restore WRITE and an unlock CAS");
+        hit_restore_and_unlock |= failed("WRITE", 16) && failed("CAS", 8);
+        hit_region_read |= failed("READ", dkvs::LOG_REGION_BYTES);
+    }
+    assert!(hit_restore_and_unlock, "no seed timed out both a restore WRITE and an unlock CAS");
+    assert!(hit_region_read, "no seed timed out the region READ of a log copy");
 }
 
 /// Zero-cost-off for the recovery path: a cluster with a chaos model
