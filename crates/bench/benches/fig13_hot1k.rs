@@ -38,7 +38,7 @@ fn main() {
         stall_cfg(ProtocolKind::Pandora),
         &FailoverSpec { recovery_delay: Duration::from_secs(4), ..base.clone() },
     );
-    let during = |s: &[pandora::Sample]| {
+    let during = |s: &[pandora::TimelinePoint]| {
         window_mean(s, Duration::from_millis(3500), Duration::from_millis(6500))
     };
     println!(

@@ -39,10 +39,10 @@ fn main() {
         stall_cfg(ProtocolKind::Pandora),
         &FailoverSpec { recovery_delay: Duration::from_secs(4), ..base.clone() },
     );
-    let early = |s: &[pandora::Sample]| {
+    let early = |s: &[pandora::TimelinePoint]| {
         window_mean(s, Duration::from_millis(3200), Duration::from_millis(4500))
     };
-    let late = |s: &[pandora::Sample]| {
+    let late = |s: &[pandora::TimelinePoint]| {
         window_mean(s, Duration::from_millis(5500), Duration::from_millis(7000))
     };
     println!("\nfast recovery: early {:.0} → late {:.0} tps (steady)", early(&fast), late(&fast));

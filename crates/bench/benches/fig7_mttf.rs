@@ -27,7 +27,7 @@ fn run_with_mttf(mttf: Option<Duration>, duration: Duration) -> (f64, usize, u64
         Arc::clone(&bench),
         RunnerConfig { coordinators: DEFAULT_COORDINATORS, seed: 17, ..RunnerConfig::default() },
     );
-    let sampler = pandora::Sampler::start(runner.probe(), Duration::from_millis(100));
+    let sampler = runner.timeline_sampler(Duration::from_millis(100));
     let t0 = Instant::now();
     let mut failures = 0usize;
     if let Some(mttf) = mttf {

@@ -51,10 +51,12 @@ fn main() {
         &FailoverSpec { fault: FaultKind::MemoryKill { node: 2 }, ..base.clone() },
     );
 
-    let pre =
-        |s: &[pandora::Sample]| window_mean(s, Duration::from_secs(1), Duration::from_secs(3));
-    let post =
-        |s: &[pandora::Sample]| window_mean(s, Duration::from_secs(5), Duration::from_secs(8));
+    let pre = |s: &[pandora::TimelinePoint]| {
+        window_mean(s, Duration::from_secs(1), Duration::from_secs(3))
+    };
+    let post = |s: &[pandora::TimelinePoint]| {
+        window_mean(s, Duration::from_secs(5), Duration::from_secs(8))
+    };
     println!(
         "\npre-fault tps  reuse {:.0} | no-reuse {:.0} | memfault {:.0}",
         pre(&reuse),

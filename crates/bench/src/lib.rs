@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pandora::{
-    MemoryFailureHandler, MetricsSnapshot, ProtocolKind, Sample, Sampler, SimCluster, SystemConfig,
+    MemoryFailureHandler, MetricsSnapshot, ProtocolKind, SimCluster, SystemConfig, TimelinePoint,
 };
 use pandora_workloads::{
     with_tables, MicroBench, RunnerConfig, SmallBank, Tatp, Tpcc, Workload, WorkloadRunner,
@@ -157,7 +157,7 @@ pub fn run_failover_on<W: Workload>(
     cluster: Arc<SimCluster>,
     workload: Arc<W>,
     spec: &FailoverSpec,
-) -> Vec<Sample> {
+) -> Vec<TimelinePoint> {
     run_failover_with_metrics(cluster, workload, spec).0
 }
 
@@ -169,7 +169,7 @@ pub fn run_failover_with_metrics<W: Workload>(
     cluster: Arc<SimCluster>,
     workload: Arc<W>,
     spec: &FailoverSpec,
-) -> (Vec<Sample>, MetricsSnapshot) {
+) -> (Vec<TimelinePoint>, MetricsSnapshot) {
     let mut runner = WorkloadRunner::spawn(
         Arc::clone(&cluster),
         workload,
@@ -179,7 +179,7 @@ pub fn run_failover_with_metrics<W: Workload>(
             ..RunnerConfig::default()
         },
     );
-    let sampler = Sampler::start(runner.probe(), spec.sample_interval);
+    let sampler = runner.timeline_sampler(spec.sample_interval);
     let t0 = Instant::now();
 
     std::thread::sleep(spec.fault_at);
@@ -257,7 +257,7 @@ pub fn run_failover<W: Workload>(
     workload: Arc<W>,
     config: SystemConfig,
     spec: &FailoverSpec,
-) -> Vec<Sample> {
+) -> Vec<TimelinePoint> {
     let cluster = cluster_with_latency(workload.as_ref(), config, spec.latency);
     run_failover_on(cluster, workload, spec)
 }
@@ -293,7 +293,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Print several sample series as aligned time/tps columns (the textual
 /// equivalent of the paper's throughput-over-time figures).
-pub fn print_series(title: &str, series: &[(&str, Vec<Sample>)], bucket_ms: u64) {
+pub fn print_series(title: &str, series: &[(&str, Vec<TimelinePoint>)], bucket_ms: u64) {
     let mut headers = vec!["t(s)"];
     for (name, _) in series {
         headers.push(name);
@@ -304,12 +304,11 @@ pub fn print_series(title: &str, series: &[(&str, Vec<Sample>)], bucket_ms: u64)
     while t <= max_ms {
         let mut row = vec![format!("{:.1}", t as f64 / 1000.0)];
         for (_, s) in series {
-            let (sum, n) = s
-                .iter()
-                .filter(|x| x.at_ms > t - bucket_ms && x.at_ms <= t)
-                .map(|x| x.tps)
-                .fold((0.0, 0usize), |(sum, n), v| (sum + v, n + 1));
-            row.push(if n > 0 { format!("{:.0}", sum / n as f64) } else { "-".into() });
+            // Points whose interval ends in (t - bucket, t], time-weighted.
+            let (from, to) = (t - bucket_ms + 1, t + 1);
+            let sampled = s.iter().any(|x| (from..to).contains(&x.at_ms));
+            let tps = pandora::mean_tps(s, from, to);
+            row.push(if sampled { format!("{tps:.0}") } else { "-".into() });
         }
         rows.push(row);
         t += bucket_ms;
@@ -318,7 +317,7 @@ pub fn print_series(title: &str, series: &[(&str, Vec<Sample>)], bucket_ms: u64)
 }
 
 /// Mean tps in a window of a sample series.
-pub fn window_mean(samples: &[Sample], from: Duration, to: Duration) -> f64 {
+pub fn window_mean(samples: &[TimelinePoint], from: Duration, to: Duration) -> f64 {
     pandora::mean_tps(samples, from.as_millis() as u64, to.as_millis() as u64)
 }
 

@@ -17,8 +17,7 @@ use std::time::{Duration, Instant};
 use args::{Args, FaultSpec, ParseError};
 use pandora::config::PersistenceMode;
 use pandora::{
-    BugFlags, MemoryFailureHandler, ProtocolKind, RecoveryCrashPlan, Sampler, SimCluster,
-    SystemConfig,
+    BugFlags, MemoryFailureHandler, ProtocolKind, RecoveryCrashPlan, SimCluster, SystemConfig,
 };
 use pandora_workloads::{
     with_tables, MicroBench, RunnerConfig, SmallBank, Tatp, Tpcc, Workload, WorkloadRunner, Ycsb,
@@ -365,10 +364,9 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
             phase_metrics: !args.has("no-phase-metrics"),
         },
     );
-    let sampler = Sampler::start(runner.probe(), Duration::from_millis(100));
-    // Fine-grained time series for the metrics JSON: committed/aborted
-    // deltas plus in-flight recoveries, dense enough (25ms) to resolve
-    // a fail-over dip.
+    // One time series for the printed mean and the metrics JSON:
+    // committed/aborted deltas plus in-flight recoveries, dense enough
+    // (25ms) to resolve a fail-over dip.
     let timeline = runner.timeline_sampler(Duration::from_millis(25));
     let t0 = Instant::now();
 
@@ -428,14 +426,14 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
     }
 
     std::thread::sleep(duration.saturating_sub(t0.elapsed()));
-    let samples = sampler.finish();
     let timeline_points = timeline.finish();
     let latency_hist = runner.latency();
     let probe = runner.probe();
     let registry = runner.metrics();
     let stats = runner.stop_and_join();
 
-    let mean = pandora::mean_tps(&samples, warmup.as_millis() as u64, duration.as_millis() as u64);
+    let mean =
+        pandora::mean_tps(&timeline_points, warmup.as_millis() as u64, duration.as_millis() as u64);
     let (p50, p95, p99) = latency_hist.percentiles();
     let stolen: u64 = stats.iter().map(|s| s.locks_stolen).sum();
     println!(
@@ -650,21 +648,33 @@ fn cmd_trace_check(args: &Args) -> Result<(), ParseError> {
         return Err(ParseError(format!("{path}: trace contains no events")));
     }
     let mut tracks = std::collections::BTreeSet::new();
+    let mut protocol_events = 0usize;
     for (i, ev) in events.iter().enumerate() {
         let bad = |field: &str| {
             ParseError(format!("{path}: event {i} is missing or mistypes required key {field:?}"))
         };
-        ev.get("ph").and_then(|v| v.as_str()).ok_or_else(|| bad("ph"))?;
+        let ph = ev.get("ph").and_then(|v| v.as_str()).ok_or_else(|| bad("ph"))?;
         ev.get("ts").and_then(|v| v.as_f64()).ok_or_else(|| bad("ts"))?;
         ev.get("pid").and_then(|v| v.as_u64()).ok_or_else(|| bad("pid"))?;
         let tid = ev.get("tid").and_then(|v| v.as_u64()).ok_or_else(|| bad("tid"))?;
         ev.get("name").and_then(|v| v.as_str()).ok_or_else(|| bad("name"))?;
         tracks.insert(tid);
+        // A protocol event (`TxnEvent`) is an instant whose args name it.
+        if let Some(event) = ev.get("args").and_then(|a| a.get("event")) {
+            if ph != "i" || event.as_str().is_none() {
+                return Err(bad("args.event"));
+            }
+            protocol_events += 1;
+        }
     }
     if let Some(seed) = doc.get("chaos_seed").and_then(|s| s.as_str()) {
         println!("chaos seed {seed}");
     }
-    println!("{path}: OK — {} events across {} tracks", events.len(), tracks.len());
+    println!(
+        "{path}: OK — {} events across {} tracks, {protocol_events} protocol events",
+        events.len(),
+        tracks.len()
+    );
     Ok(())
 }
 

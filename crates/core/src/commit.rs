@@ -33,7 +33,7 @@
 //! the ladder of `crate::exec`.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dkvs::{
     log_lane_offset, LockWord, LogEntry, SlotLayout, SlotRef, UndoRecord, VersionWord,
@@ -43,9 +43,8 @@ use rdma_sim::{Completion, NodeId, RdmaError, RdmaResult, WorkId};
 
 use crate::config::ProtocolKind;
 use crate::coordinator::Coordinator;
-use crate::flight::FlightHandle;
+use crate::flight::{FlightHandle, TxnEvent};
 use crate::obs::TxnPhase;
-use crate::trace::TxnEvent;
 use crate::txn::{AbortReason, ReadEntry, TxnError, WriteEntry, WriteKind};
 
 /// Position of a transaction in the pipeline: the phase whose items
@@ -146,7 +145,8 @@ pub(crate) struct Commit {
     /// scheduled onto the lane. The blocking driver owns lane 0 alone
     /// and lets its next entry overwrite the old one.
     shared_lanes: bool,
-    /// Flight track for phase spans; `None` = the coordinator's own.
+    /// This transaction's flight track (a scheduler slot's own, else the
+    /// coordinator's); `None` when no recorder is attached.
     pub flight: Option<FlightHandle>,
     pub read_set: Vec<ReadEntry>,
     pub write_set: Vec<WriteEntry>,
@@ -232,17 +232,30 @@ impl Commit {
         self.phase_t0 = co.phase_start();
     }
 
-    /// The one emit point for phase timing: the `PhaseStats` histogram
-    /// and a flight span on this transaction's track.
-    pub fn end_phase(&mut self, co: &Coordinator, phase: TxnPhase) {
-        let Some(t0) = self.phase_t0.take() else { return };
+    /// The one emit point for phase timing: `phase` took `d` and ends
+    /// now — one observation in the `PhaseStats` histogram and a flight
+    /// span on this transaction's track.
+    pub fn record_phase(&self, co: &Coordinator, phase: TxnPhase, d: Duration) {
         if let Some(stats) = &co.phase_stats {
-            stats.record(phase, t0.elapsed());
+            stats.record(phase, d);
         }
-        if let Some(f) = self.flight.as_ref().or(co.flight.as_ref()) {
-            if f.enabled() {
-                f.end_from_instant(phase.name(), self.txn_id, t0, true);
-            }
+        if let Some(f) = &self.flight {
+            f.ended(phase.name(), self.txn_id, d, true);
+        }
+    }
+
+    /// Stop the clock [`Commit::start_timer`] started, if it runs.
+    pub fn end_phase(&mut self, co: &Coordinator, phase: TxnPhase) {
+        if let Some(t0) = self.phase_t0.take() {
+            self.record_phase(co, phase, t0.elapsed());
+        }
+    }
+
+    /// Record a protocol event on this transaction's track.
+    #[inline]
+    pub fn trace(&self, event: TxnEvent) {
+        if let Some(f) = &self.flight {
+            f.event(self.txn_id, event);
         }
     }
 
@@ -601,7 +614,7 @@ impl Commit {
     fn ack(&mut self, co: &mut Coordinator) {
         self.acked = true;
         co.stats.committed += 1;
-        co.trace(TxnEvent::Committed { txn_id: self.txn_id });
+        self.trace(TxnEvent::Committed);
         if let Some(p) = &co.probe {
             p.commit();
         }
@@ -826,12 +839,12 @@ impl Commit {
             self.release_held(co);
         }
         if co.injector.is_crashed() {
-            co.trace(TxnEvent::Crashed { txn_id: self.txn_id });
+            self.trace(TxnEvent::Crashed);
             return TxnError::Crashed;
         }
         co.stats.aborted += 1;
         co.note_abort(reason);
-        co.trace(TxnEvent::Aborted { txn_id: self.txn_id, reason: reason.name() });
+        self.trace(TxnEvent::Aborted { reason: reason.name() });
         if let Some(p) = &co.probe {
             p.abort();
         }

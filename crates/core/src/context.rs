@@ -82,13 +82,6 @@ impl SharedContext {
         self.flight.read().clone()
     }
 
-    /// Auto-dump the flight recorder (self-fence, recovery trigger,
-    /// harness assertion failure). Returns the dump path when a
-    /// recorder is installed *and* a dump directory is configured.
-    pub fn flight_dump(&self, reason: &str) -> Option<std::path::PathBuf> {
-        self.flight.read().as_ref().and_then(|rec| rec.auto_dump(reason))
-    }
-
     /// The known-dead memory nodes (placement input): one `Acquire`
     /// load, pairing with the `AcqRel` update in
     /// [`SharedContext::mark_node_dead`] / [`SharedContext::mark_node_live`],

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dkvs::hash::FxHashMap;
 use dkvs::{ClusterMap, LockWord, SlotImage, SlotLayout, SlotRef, TableId};
@@ -12,9 +12,8 @@ use rdma_sim::{EndpointId, FaultInjector, NodeId, QpStripe, QueuePair, RdmaError
 
 use crate::context::SharedContext;
 use crate::fd::{CoordinatorLease, FailureDetector};
-use crate::flight::FlightHandle;
-use crate::metrics::ThroughputProbe;
-use crate::obs::{PhaseStats, TxnPhase};
+use crate::flight::{FlightHandle, FlightRecorder, Payload};
+use crate::obs::{PhaseStats, ThroughputProbe};
 use crate::pause::CoordGate;
 use crate::retry;
 use crate::txn::{AbortReason, Txn, TxnError};
@@ -43,10 +42,10 @@ pub struct Coordinator {
     pub(crate) addr_cache: FxHashMap<(TableId, u64), SlotRef>,
     pub(crate) txn_seq: u64,
     pub(crate) probe: Option<Arc<ThroughputProbe>>,
-    pub(crate) tracer: Option<Arc<crate::trace::Tracer>>,
     pub(crate) phase_stats: Option<Arc<PhaseStats>>,
-    /// Flight-recorder emission handle, auto-attached at connect time
-    /// when the cluster has a recorder installed (see [`crate::flight`]).
+    /// Flight-recorder emission handle: auto-attached at connect time
+    /// when the cluster has a recorder installed, or attached by hand
+    /// through [`Coordinator::with_flight`] (see [`crate::flight`]).
     pub(crate) flight: Option<FlightHandle>,
     /// Interleaved-scheduler gauges (in-flight transactions, admissions),
     /// attached via [`Coordinator::with_sched_stats`].
@@ -107,7 +106,6 @@ impl Coordinator {
             addr_cache: FxHashMap::default(),
             txn_seq: 0,
             probe: None,
-            tracer: None,
             phase_stats: None,
             flight,
             sched: None,
@@ -141,10 +139,13 @@ impl Coordinator {
         self
     }
 
-    /// Attach an event tracer (see [`crate::trace`]); shared tracers
-    /// interleave events from many coordinators in one global order.
-    pub fn with_tracer(mut self, tracer: Arc<crate::trace::Tracer>) -> Coordinator {
-        self.tracer = Some(tracer);
+    /// Attach a standalone flight recorder (see [`crate::flight`]): this
+    /// coordinator's protocol events, phase spans and fences land on its
+    /// track of `rec`; a recorder shared by several coordinators
+    /// interleaves them in one record order. The fabric is not told, so
+    /// no verb is tapped.
+    pub fn with_flight(mut self, rec: &Arc<FlightRecorder>) -> Coordinator {
+        self.flight = Some(rec.handle(self.coord_id));
         self
     }
 
@@ -158,14 +159,6 @@ impl Coordinator {
     pub fn with_sched_stats(mut self, stats: Arc<crate::sched::SchedStats>) -> Coordinator {
         self.sched = Some(stats);
         self
-    }
-
-    /// Record a protocol event if a tracer is attached.
-    #[inline]
-    pub(crate) fn trace(&self, event: crate::trace::TxnEvent) {
-        if let Some(t) = &self.tracer {
-            t.record(self.coord_id, event);
-        }
     }
 
     /// True when a flight recorder is attached *and* currently enabled
@@ -192,29 +185,6 @@ impl Coordinator {
             Some(Instant::now())
         } else {
             None
-        }
-    }
-
-    /// Record an already-measured phase duration.
-    #[inline]
-    pub(crate) fn record_phase(&self, phase: TxnPhase, d: Duration) {
-        if let Some(stats) = &self.phase_stats {
-            stats.record(phase, d);
-        }
-        if let Some(f) = &self.flight {
-            if f.enabled() {
-                let dur_ns = (d.as_nanos() as u64).max(1);
-                let end_ns = f.now_ns();
-                f.emit(
-                    phase.name(),
-                    self.current_txn_id(),
-                    end_ns.saturating_sub(dur_ns),
-                    dur_ns,
-                    0,
-                    0,
-                    true,
-                );
-            }
         }
     }
 
@@ -257,8 +227,7 @@ impl Coordinator {
     pub fn begin(&mut self) -> Txn<'_> {
         self.ctx.pause.enter_txn(&self.gate);
         self.txn_seq += 1;
-        let txn_id = ((self.coord_id as u64) << 48) | self.txn_seq;
-        self.trace(crate::trace::TxnEvent::Begin { txn_id });
+        let txn_id = self.current_txn_id();
         Txn::new(self, txn_id)
     }
 
@@ -330,7 +299,7 @@ impl Coordinator {
     /// Retry under `policy`, emitting a "retry" flight span covering the
     /// whole loop when a verb actually re-issued (attempts > 1). The
     /// individual verbs are already spanned at the fabric layer; this
-    /// span is the causal envelope naming the attempt count (`detail`).
+    /// span is the causal envelope naming the attempt count.
     fn spanned_retry<T>(
         &self,
         policy: &retry::RetryPolicy,
@@ -345,13 +314,12 @@ impl Coordinator {
             retry::retry_op_counted(policy, Some(&self.ctx.resilience), self.retry_salt(), f);
         if attempts > 1 {
             let end_ns = fl.now_ns();
-            fl.emit(
+            fl.span(
                 "retry",
                 self.current_txn_id(),
                 start_ns,
                 end_ns.saturating_sub(start_ns).max(1),
-                attempts as u64,
-                0,
+                Payload::Attempts(attempts),
                 res.is_ok(),
             );
         }
@@ -365,9 +333,7 @@ impl Coordinator {
     /// the instant is the final event of this incarnation.
     pub(crate) fn flight_fence(&self, reason: &'static str) {
         if let Some(f) = &self.flight {
-            if f.enabled() {
-                f.instant(reason, self.current_txn_id(), 0);
-            }
+            f.instant(reason, self.current_txn_id());
             f.recorder().auto_dump(reason);
         }
     }
@@ -464,9 +430,9 @@ impl Coordinator {
         // Spans from here on belong to the new incarnation's track; the
         // boundary instant makes false-suspicion survival visible on the
         // fail-over timeline.
-        self.flight = self.ctx.flight().map(|rec| rec.handle(lease.coord_id));
+        self.flight = self.flight.take().map(|f| f.recorder().handle(lease.coord_id));
         if let Some(f) = &self.flight {
-            f.instant("reincarnated", (lease.coord_id as u64) << 48, 0);
+            f.instant("reincarnated", (lease.coord_id as u64) << 48);
         }
         self.ctx.resilience.false_suspicion_survivals.fetch_add(1, Ordering::Relaxed);
         Ok(lease)

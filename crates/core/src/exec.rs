@@ -39,7 +39,7 @@ use rdma_sim::{Completion, NodeId, QueuePair, RdmaError, RdmaResult, TimeoutAppl
 
 use crate::commit::{Commit, Pend};
 use crate::coordinator::{parse_full_slot, Coordinator, FullSlot};
-use crate::trace::TxnEvent;
+use crate::flight::TxnEvent;
 use crate::txn::{pad8, AbortReason, ReadEntry, TxnError, WriteEntry, WriteKind};
 
 /// What one operation asks for. Values and closures are borrowed: a
@@ -541,7 +541,7 @@ fn take_lock(
 ) -> Result<(bool, Option<Vec<u8>>), TxnError> {
     match p.lock {
         Lock::Held => {
-            co.trace(TxnEvent::Lock { table: p.sref.table, key, stolen: false });
+            c.trace(TxnEvent::Lock { table: p.sref.table, key, stolen: false });
             Ok((true, p.data))
         }
         Lock::Conflict(prev) => Ok((lock_after_conflict(co, c, p.sref, key, prev)?, None)),
@@ -571,7 +571,7 @@ pub(crate) fn try_lock(
         .cas_resolved(primary, co.lock_addr(primary, sref), 0, c.lock.raw(), unique)
         .map_err(TxnError::from_rdma)?;
     if prev == 0 {
-        co.trace(TxnEvent::Lock { table: sref.table, key, stolen: false });
+        c.trace(TxnEvent::Lock { table: sref.table, key, stolen: false });
         c.held.push(sref);
         return Ok(true);
     }
@@ -599,12 +599,12 @@ fn lock_after_conflict(
             .map_err(TxnError::from_rdma)?;
         if got == prev {
             co.stats.locks_stolen += 1;
-            co.trace(TxnEvent::Lock { table: sref.table, key, stolen: true });
+            c.trace(TxnEvent::Lock { table: sref.table, key, stolen: true });
             c.held.push(sref);
             return Ok(true);
         }
     }
-    co.trace(TxnEvent::LockConflict { table: sref.table, key, owner: prev_lock.owner() });
+    c.trace(TxnEvent::LockConflict { table: sref.table, key, owner: prev_lock.owner() });
     Ok(false)
 }
 

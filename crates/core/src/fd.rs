@@ -29,6 +29,7 @@ use parking_lot::Mutex;
 use rdma_sim::{EndpointId, NodeId, RdmaResult};
 
 use crate::context::SharedContext;
+use crate::flight::Payload;
 use crate::memfail::MemoryFailureHandler;
 use crate::recovery::{RecoveryCoordinator, RecoveryCrashPlan, RecoveryReport};
 
@@ -337,16 +338,8 @@ impl FailureDetector {
             let mut end_ns = h.now_ns();
             for (name, d) in report.steps().iter().rev() {
                 let dur_ns = (d.as_nanos() as u64).max(1);
-                h.emit(
-                    name,
-                    (coord as u64) << 48,
-                    end_ns.saturating_sub(dur_ns),
-                    dur_ns,
-                    0,
-                    0,
-                    report.completed,
-                );
                 end_ns = end_ns.saturating_sub(dur_ns);
+                h.span(name, (coord as u64) << 48, end_ns, dur_ns, Payload::None, report.completed);
             }
         }
         report

@@ -55,14 +55,12 @@ pub mod failed_ids;
 pub mod fd;
 pub mod flight;
 pub mod memfail;
-pub mod metrics;
 pub mod obs;
 pub mod pause;
 pub mod recovery;
 pub mod retry;
 pub mod sched;
 pub mod sim;
-pub mod trace;
 pub mod txn;
 
 pub use compute::ComputeNode;
@@ -71,19 +69,17 @@ pub use context::SharedContext;
 pub use coordinator::{CoordStats, Coordinator};
 pub use failed_ids::FailedIds;
 pub use fd::{CoordinatorLease, FailureDetector, FdMonitor, FdOutcome, QuorumFd};
-pub use flight::{dump_on_panic, FlightHandle, FlightRecorder, FlightSpan, FlightTrack};
-pub use memfail::{MemFailReport, MemoryFailureHandler};
-pub use metrics::{
-    mean_tps, LatencyHistogram, Sample, Sampler, ThroughputProbe, TimelinePoint, TimelineSampler,
+pub use flight::{
+    dump_on_panic, FlightHandle, FlightRecorder, FlightSpan, FlightTrack, Payload, TxnEvent,
 };
+pub use memfail::{MemFailReport, MemoryFailureHandler};
 pub use obs::{
-    merge_stripe_counters, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PhaseStats,
-    RecoverySnapshot, StripeStore, TxnPhase,
+    mean_tps, LatencyHistogram, LatencySummary, MetricsRegistry, MetricsSnapshot, PhaseStats,
+    ThroughputProbe, TimelinePoint, TimelineSampler, TxnPhase,
 };
 pub use pause::{CoordGate, WorldPause};
 pub use recovery::{RecoveryCoordinator, RecoveryCrashPlan, RecoveryReport, RecoveryStep};
 pub use retry::{ResilienceSnapshot, ResilienceStats, RetryPolicy};
 pub use sched::{SchedSnapshot, SchedStats, TxnOp, TxnOutcome, TxnRequest, UpdateFn};
 pub use sim::{SimCluster, SimClusterBuilder};
-pub use trace::{TraceRecord, Tracer, TxnEvent};
 pub use txn::{AbortReason, Txn, TxnError};

@@ -1,26 +1,40 @@
-//! Unified observability layer: per-phase commit-path latency, abort
-//! taxonomies, fabric-wide verb counters, recovery-step timers, and a
-//! JSON-serializable snapshot of all of it.
+//! Numbers: everything the system counts, times or samples — commit and
+//! abort counters, latency histograms (whole transactions and per
+//! commit-path phase), the abort taxonomy, the background throughput
+//! sampler, and the registry that composes them with the fabric's verb
+//! telemetry, recovery reports and chaos / resilience / scheduler
+//! counters into one JSON-serializable snapshot. Events — who did what to
+//! which key, when — are [`crate::flight`]'s.
 //!
 //! The paper's evaluation is a story about *where time goes* — execution
 //! vs. locking vs. validation vs. logging on the commit path (Figures
 //! 6–14), and detection vs. link termination vs. log recovery vs.
-//! stray-lock notification during fail-over (Table 2). This module makes
-//! that breakdown first-class: a [`MetricsRegistry`] composes the
-//! fragments the rest of the crate already collects ([`ThroughputProbe`],
-//! [`LatencyHistogram`], [`RecoveryReport`], rdma-sim `OpCounters`) into
-//! one [`MetricsSnapshot`] that serializes to JSON without external
+//! stray-lock notification during fail-over (Table 2). A
+//! [`MetricsRegistry`] makes that breakdown first-class: it holds the
+//! run's sources ([`ThroughputProbe`], [`LatencyHistogram`],
+//! [`PhaseStats`], the fabric, [`RecoveryReport`]s) and turns them into a
+//! [`MetricsSnapshot`] that serializes to JSON without external
 //! dependencies (the workspace has no `serde_json`; see [`json`] for the
 //! matching reader used by tests and tools).
+//!
+//! Two write disciplines, kept apart on purpose: the histograms and
+//! counters here are shared by every coordinator thread of a run and
+//! updated with relaxed `fetch_add`s; the fabric's per-queue-pair blocks
+//! below (`rdma_sim`) have one writer each and use plain load/store.
+//! Both report through the one [`LatencySummary`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rdma_sim::{ChaosModel, ChaosStatsSnapshot, Fabric, OpCountersSnapshot, VerbLatencySnapshot};
+pub use rdma_sim::LatencySummary;
+use rdma_sim::{
+    log2_bucket, ChaosModel, ChaosStatsSnapshot, Fabric, OpCountersSnapshot, VerbKind,
+    VerbLatencySnapshot,
+};
 
-use crate::metrics::{LatencyHistogram, ThroughputProbe, TimelinePoint};
 use crate::recovery::RecoveryReport;
 use crate::retry::{ResilienceSnapshot, ResilienceStats};
 use crate::txn::AbortReason;
@@ -72,6 +86,123 @@ impl TxnPhase {
     }
 }
 
+/// Shared commit/abort counters, bumped by every coordinator.
+#[derive(Debug, Default)]
+pub struct ThroughputProbe {
+    pub committed: AtomicU64,
+    pub aborted: AtomicU64,
+}
+
+impl ThroughputProbe {
+    pub fn new() -> Arc<ThroughputProbe> {
+        Arc::new(ThroughputProbe::default())
+    }
+
+    #[inline]
+    pub fn commit(&self) {
+        self.committed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn abort(&self) {
+        self.aborted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn committed_total(&self) -> u64 {
+        self.committed.load(Ordering::Relaxed)
+    }
+
+    pub fn aborted_total(&self) -> u64 {
+        self.aborted.load(Ordering::Relaxed)
+    }
+
+    /// Abort rate in [0, 1] over everything recorded so far.
+    pub fn abort_rate(&self) -> f64 {
+        let c = self.committed_total() as f64;
+        let a = self.aborted_total() as f64;
+        if c + a == 0.0 {
+            0.0
+        } else {
+            a / (c + a)
+        }
+    }
+}
+
+/// Lock-free log₂-bucket latency histogram (nanosecond resolution,
+/// buckets 2⁰ ns … 2⁶³ ns; see [`rdma_sim::log2_bucket`]). Coarse but
+/// allocation-free and shareable across coordinator threads. The count is
+/// the sum of the buckets.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; 64],
+    sum_ns: AtomicU64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LatencyHistogram {
+    pub fn new() -> LatencyHistogram {
+        LatencyHistogram { buckets: [const { AtomicU64::new(0) }; 64], sum_ns: AtomicU64::new(0) }
+    }
+
+    /// Record one latency observation.
+    #[inline]
+    pub fn record(&self, latency: Duration) {
+        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        self.buckets[log2_bucket(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> [u64; 64] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
+    /// Count, mean, p50, p95 and p99 as they stand now.
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary::of(&self.load(), self.sum_ns.load(Ordering::Relaxed))
+    }
+
+    pub fn count(&self) -> u64 {
+        self.load().iter().sum()
+    }
+
+    /// Mean latency.
+    pub fn mean(&self) -> Duration {
+        Duration::from_nanos(self.summary().mean_ns)
+    }
+
+    /// Approximate quantile (`q` in [0, 1]): the upper edge of the bucket
+    /// containing the q-th observation.
+    pub fn quantile(&self, q: f64) -> Duration {
+        Duration::from_nanos(LatencySummary::quantile_ns(&self.load(), q))
+    }
+
+    /// (p50, p95, p99) summary.
+    pub fn percentiles(&self) -> (Duration, Duration, Duration) {
+        let s = self.summary();
+        (
+            Duration::from_nanos(s.p50_ns),
+            Duration::from_nanos(s.p95_ns),
+            Duration::from_nanos(s.p99_ns),
+        )
+    }
+
+    /// Fold `other`'s observations into this histogram (bucket-wise sum),
+    /// so per-thread histograms can be combined into one snapshot.
+    pub fn merge(&self, other: &LatencyHistogram) {
+        for (mine, theirs) in self.buckets.iter().zip(other.load()) {
+            if theirs != 0 {
+                mine.fetch_add(theirs, Ordering::Relaxed);
+            }
+        }
+        self.sum_ns.fetch_add(other.sum_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
 /// Lock-free per-phase latency histograms plus abort-reason counters,
 /// shared by every coordinator of a run. All updates are relaxed atomic
 /// bumps on [`LatencyHistogram`] buckets — cheap enough to leave on.
@@ -106,9 +237,9 @@ impl PhaseStats {
         self.aborts[reason.index()].load(Ordering::Relaxed)
     }
 
-    /// `(name, snapshot)` for every phase, in execution order.
-    pub fn histogram_snapshots(&self) -> [(&'static str, HistogramSnapshot); TxnPhase::COUNT] {
-        TxnPhase::ALL.map(|p| (p.name(), HistogramSnapshot::of(&self.phases[p.index()])))
+    /// `(name, summary)` for every phase, in execution order.
+    pub fn summaries(&self) -> [(&'static str, LatencySummary); TxnPhase::COUNT] {
+        TxnPhase::ALL.map(|p| (p.name(), self.phases[p.index()].summary()))
     }
 
     /// `(name, count)` for every abort reason, including zero counts so
@@ -129,93 +260,123 @@ impl PhaseStats {
     }
 }
 
-/// Point-in-time summary of one [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub mean_ns: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
+/// One point of the throughput timeline: commits, abort pressure and the
+/// recovery gauge sampled together, so a fail-over window shows up as
+/// correlated dips/spikes in a single series (the fail-over figures of
+/// the paper, Figures 6–14, and the `timeline` array of the
+/// `pandora-metrics-v1` JSON schema). A point covers the interval since
+/// the previous point (the first: since sampling started).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelinePoint {
+    /// Milliseconds since sampling started, at the end of the interval.
+    pub at_ms: u64,
+    /// Committed transactions during this interval.
+    pub committed_delta: u64,
+    /// Aborted transactions during this interval.
+    pub aborted_delta: u64,
+    /// Committed transactions per second over this interval.
+    pub tps: f64,
+    /// Recoveries in flight at sample time (`SharedContext::recoveries_in_flight`).
+    pub recoveries_in_flight: u64,
 }
 
-impl HistogramSnapshot {
-    pub fn of(h: &LatencyHistogram) -> HistogramSnapshot {
-        let (p50, p95, p99) = h.percentiles();
-        HistogramSnapshot {
-            count: h.count(),
-            mean_ns: h.mean().as_nanos() as u64,
-            p50_ns: p50.as_nanos() as u64,
-            p95_ns: p95.as_nanos() as u64,
-            p99_ns: p99.as_nanos() as u64,
+/// The background sampler: snapshots a [`ThroughputProbe`] plus an
+/// arbitrary gauge (in practice the shared context's
+/// in-flight-recoveries counter) every `interval`.
+pub struct TimelineSampler {
+    stop: Arc<AtomicBool>,
+    handle: Option<JoinHandle<Vec<TimelinePoint>>>,
+}
+
+impl TimelineSampler {
+    /// Start the sampling thread; `gauge` is read once per tick.
+    pub fn spawn(
+        probe: Arc<ThroughputProbe>,
+        gauge: impl Fn() -> u64 + Send + 'static,
+        interval: Duration,
+    ) -> TimelineSampler {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("timeline-sampler".into())
+            .spawn(move || {
+                let t0 = Instant::now();
+                let mut last_c = probe.committed_total();
+                let mut last_a = probe.aborted_total();
+                let mut last_t = t0;
+                let mut out = Vec::new();
+                let mut take = |last_c: &mut u64, last_a: &mut u64, last_t: &mut Instant| {
+                    let now = Instant::now();
+                    let c = probe.committed_total();
+                    let a = probe.aborted_total();
+                    let dt = now.duration_since(*last_t).as_secs_f64().max(1e-9);
+                    out.push(TimelinePoint {
+                        at_ms: now.duration_since(t0).as_millis() as u64,
+                        committed_delta: c - *last_c,
+                        aborted_delta: a - *last_a,
+                        tps: (c - *last_c) as f64 / dt,
+                        recoveries_in_flight: gauge(),
+                    });
+                    *last_c = c;
+                    *last_a = a;
+                    *last_t = now;
+                };
+                loop {
+                    if stop2.load(Ordering::Acquire) {
+                        // Final partial interval: commits landing after
+                        // the last tick must still be counted, or short
+                        // runs under-report totals.
+                        if probe.committed_total() != last_c || probe.aborted_total() != last_a {
+                            take(&mut last_c, &mut last_a, &mut last_t);
+                        }
+                        break;
+                    }
+                    std::thread::sleep(interval);
+                    take(&mut last_c, &mut last_a, &mut last_t);
+                }
+                out
+            })
+            .expect("spawn timeline sampler");
+        TimelineSampler { stop, handle: Some(handle) }
+    }
+
+    /// Stop sampling and collect the series.
+    pub fn finish(mut self) -> Vec<TimelinePoint> {
+        self.stop.store(true, Ordering::Release);
+        self.handle
+            .take()
+            .expect("finish called once")
+            .join()
+            .expect("timeline sampler panicked")
+    }
+}
+
+impl Drop for TimelineSampler {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
         }
     }
-
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-            self.count, self.mean_ns, self.p50_ns, self.p95_ns, self.p99_ns
-        )
-    }
 }
 
-/// One recovery, flattened to integers for serialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoverySnapshot {
-    pub coord: u16,
-    pub detection_ns: u64,
-    pub link_termination_ns: u64,
-    pub log_recovery_ns: u64,
-    pub stray_notification_ns: u64,
-    pub total_ns: u64,
-    pub end_to_end_ns: u64,
-    pub logged_txns: u64,
-    pub rolled_forward: u64,
-    pub rolled_back: u64,
-    pub locks_released: u64,
-    pub completed: bool,
-    pub attempts: u64,
-}
-
-impl RecoverySnapshot {
-    pub fn from_report(r: &RecoveryReport) -> RecoverySnapshot {
-        RecoverySnapshot {
-            coord: r.coord,
-            detection_ns: r.detection.as_nanos() as u64,
-            link_termination_ns: r.link_termination.as_nanos() as u64,
-            log_recovery_ns: r.log_recovery.as_nanos() as u64,
-            stray_notification_ns: r.stray_notification.as_nanos() as u64,
-            total_ns: r.total.as_nanos() as u64,
-            end_to_end_ns: r.end_to_end().as_nanos() as u64,
-            logged_txns: r.logged_txns as u64,
-            rolled_forward: r.rolled_forward as u64,
-            rolled_back: r.rolled_back as u64,
-            locks_released: r.locks_released as u64,
-            completed: r.completed,
-            attempts: r.attempts as u64,
+/// Mean committed tps over the points whose timestamps fall in
+/// `[from_ms, to_ms)`: their commits over the time they cover. Sampler
+/// ticks are sleeps on a busy host, so intervals differ in length and the
+/// mean of their *rates* is not commits ÷ time.
+pub fn mean_tps(points: &[TimelinePoint], from_ms: u64, to_ms: u64) -> f64 {
+    let (mut commits, mut covered_ms, mut prev_ms) = (0u64, 0u64, 0u64);
+    for p in points {
+        if p.at_ms >= from_ms && p.at_ms < to_ms {
+            commits += p.committed_delta;
+            covered_ms += p.at_ms - prev_ms;
         }
+        prev_ms = p.at_ms;
     }
-
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"coord\":{},\"detection_ns\":{},\"link_termination_ns\":{},\
-             \"log_recovery_ns\":{},\"stray_notification_ns\":{},\"total_ns\":{},\
-             \"end_to_end_ns\":{},\"logged_txns\":{},\"rolled_forward\":{},\
-             \"rolled_back\":{},\"locks_released\":{},\"completed\":{},\"attempts\":{}}}",
-            self.coord,
-            self.detection_ns,
-            self.link_termination_ns,
-            self.log_recovery_ns,
-            self.stray_notification_ns,
-            self.total_ns,
-            self.end_to_end_ns,
-            self.logged_txns,
-            self.rolled_forward,
-            self.rolled_back,
-            self.locks_released,
-            self.completed,
-            self.attempts
-        )
+    if covered_ms == 0 {
+        0.0
+    } else {
+        commits as f64 * 1000.0 / covered_ms as f64
     }
 }
 
@@ -234,45 +395,6 @@ pub struct MetricsRegistry {
     sched: Option<Arc<crate::sched::SchedStats>>,
     reports: Mutex<Vec<RecoveryReport>>,
     timeline: Mutex<Vec<TimelinePoint>>,
-    stripes: StripeStore,
-}
-
-/// Shared accumulator for per-stripe lane counters: `(node id, one
-/// [`OpCountersSnapshot`] per lane)`. Worker threads merge into it as
-/// they retire (coordinator QPs are thread-owned, so counters can only
-/// be read where the coordinator lives); a registry wired to the same
-/// store via [`MetricsRegistry::with_stripe_store`] sees everything
-/// merged so far at snapshot time.
-pub type StripeStore = Arc<Mutex<Vec<(u16, Vec<OpCountersSnapshot>)>>>;
-
-/// Merge one coordinator's per-stripe lane counters (from
-/// [`crate::Coordinator::stripe_counters`]) into a [`StripeStore`];
-/// counts of the same `(node, lane)` accumulate.
-pub fn merge_stripe_counters(
-    store: &StripeStore,
-    counters: &[(rdma_sim::NodeId, Vec<OpCountersSnapshot>)],
-) {
-    let mut stripes = store.lock();
-    for (node, lanes) in counters {
-        match stripes.iter_mut().find(|(n, _)| *n == node.0) {
-            Some((_, acc)) => {
-                if acc.len() < lanes.len() {
-                    acc.resize(lanes.len(), OpCountersSnapshot::default());
-                }
-                for (a, l) in acc.iter_mut().zip(lanes) {
-                    a.reads += l.reads;
-                    a.writes += l.writes;
-                    a.cas += l.cas;
-                    a.faa += l.faa;
-                    a.flushes += l.flushes;
-                    a.bytes_read += l.bytes_read;
-                    a.bytes_written += l.bytes_written;
-                }
-            }
-            None => stripes.push((node.0, lanes.clone())),
-        }
-    }
-    stripes.sort_by_key(|(n, _)| *n);
 }
 
 impl MetricsRegistry {
@@ -295,6 +417,9 @@ impl MetricsRegistry {
         self
     }
 
+    /// Wire the fabric: verb counters (total, per node, per stripe lane)
+    /// and post→completion latencies, all read from its per-queue-pair
+    /// blocks at snapshot time — live queue pairs included.
     pub fn with_fabric(mut self, fabric: Arc<Fabric>) -> MetricsRegistry {
         self.fabric = Some(fabric);
         self
@@ -318,28 +443,12 @@ impl MetricsRegistry {
         self
     }
 
-    /// Share an externally-owned [`StripeStore`] (e.g. the workload
-    /// runner's) so counters merged after this registry was built still
-    /// appear in its snapshots.
-    pub fn with_stripe_store(mut self, store: StripeStore) -> MetricsRegistry {
-        self.stripes = store;
-        self
-    }
-
-    /// Merge one coordinator's per-stripe lane counters (from
-    /// [`crate::Coordinator::stripe_counters`]); lane verb counts of the
-    /// same `(node, lane)` accumulate across coordinators.
-    pub fn add_stripe_counters(&self, counters: &[(rdma_sim::NodeId, Vec<OpCountersSnapshot>)]) {
-        merge_stripe_counters(&self.stripes, counters);
-    }
-
     /// Append recovery reports (e.g. from `FailureDetector::reports`).
     pub fn add_reports(&self, reports: &[RecoveryReport]) {
         self.reports.lock().extend_from_slice(reports);
     }
 
-    /// Append timeline points (e.g. from
-    /// [`crate::metrics::TimelineSampler::finish`]).
+    /// Append timeline points (from [`TimelineSampler::finish`]).
     pub fn add_timeline(&self, points: &[TimelinePoint]) {
         self.timeline.lock().extend_from_slice(points);
     }
@@ -350,32 +459,33 @@ impl MetricsRegistry {
             None => (0, 0, 0.0),
         };
         let phases = match &self.phases {
-            Some(p) => p.histogram_snapshots().to_vec(),
-            None => TxnPhase::ALL.map(|p| (p.name(), HistogramSnapshot::default())).to_vec(),
+            Some(p) => p.summaries().to_vec(),
+            None => TxnPhase::ALL.map(|p| (p.name(), LatencySummary::default())).to_vec(),
         };
         let abort_reasons = match &self.phases {
             Some(p) => p.abort_counts().to_vec(),
             None => AbortReason::ALL.map(|r| (r.name(), 0)).to_vec(),
         };
+        // Each fabric read walks every live queue pair's block: the total
+        // is the per-node counters' sum, not a walk of its own.
+        let fabric = self.fabric.as_deref();
+        let fabric_nodes = fabric.map(|f| by_node(f.per_node_counters())).unwrap_or_default();
+        let total = fabric_nodes.iter().fold(OpCountersSnapshot::default(), |t, (_, n)| t.plus(n));
         MetricsSnapshot {
             committed,
             aborted,
             abort_rate,
-            txn_latency: self.txn_latency.as_deref().map(HistogramSnapshot::of),
+            txn_latency: self.txn_latency.as_deref().map(LatencyHistogram::summary),
             phases,
             abort_reasons,
-            fabric_total: self.fabric.as_ref().map(|f| f.total_counters()),
-            fabric_nodes: self
-                .fabric
-                .as_ref()
-                .map(|f| f.per_node_counters().into_iter().map(|(n, s)| (n.0, s)).collect())
-                .unwrap_or_default(),
-            verbs: self.fabric.as_ref().map(|f| f.verb_stats()),
+            fabric_total: fabric.map(|_| total),
+            fabric_nodes,
+            verbs: fabric.map(Fabric::verb_stats),
             resilience: self.resilience.as_ref().map(|r| r.snapshot()),
             chaos: self.chaos.as_ref().map(|c| c.stats()),
             sched: self.sched.as_ref().map(|s| s.snapshot()),
-            stripes: self.stripes.lock().clone(),
-            recoveries: self.reports.lock().iter().map(RecoverySnapshot::from_report).collect(),
+            stripes: fabric.map(|f| by_node(f.stripe_counters())).unwrap_or_default(),
+            recoveries: self.reports.lock().clone(),
             timeline: self.timeline.lock().clone(),
         }
     }
@@ -390,9 +500,9 @@ pub struct MetricsSnapshot {
     pub aborted: u64,
     pub abort_rate: f64,
     /// End-to-end transaction latency (as recorded by the runner).
-    pub txn_latency: Option<HistogramSnapshot>,
+    pub txn_latency: Option<LatencySummary>,
     /// Per-phase commit-path histograms, in execution order.
-    pub phases: Vec<(&'static str, HistogramSnapshot)>,
+    pub phases: Vec<(&'static str, LatencySummary)>,
     /// Abort counts per reason (zero counts included).
     pub abort_reasons: Vec<(&'static str, u64)>,
     /// Fabric-wide verb counts and bytes on the wire.
@@ -410,14 +520,19 @@ pub struct MetricsSnapshot {
     /// Interleaved-scheduler gauges (`txns_in_flight` et al.), when a
     /// [`crate::sched::SchedStats`] was wired in.
     pub sched: Option<crate::sched::SchedSnapshot>,
-    /// Per-node per-stripe-lane verb counters, accumulated across the
-    /// coordinators that reported theirs ([`MetricsRegistry::add_stripe_counters`]).
+    /// Per-node per-stripe-lane verb counters of every coordinator's
+    /// striped links, live or gone ([`Fabric::stripe_counters`]).
     pub stripes: Vec<(u16, Vec<OpCountersSnapshot>)>,
     /// One entry per recovery performed during the run.
-    pub recoveries: Vec<RecoverySnapshot>,
+    pub recoveries: Vec<RecoveryReport>,
     /// Sampled throughput/abort/recovery-gauge series (empty when no
-    /// [`crate::metrics::TimelineSampler`] ran).
+    /// [`TimelineSampler`] ran).
     pub timeline: Vec<TimelinePoint>,
+}
+
+/// Node ids as plain integers, for serialization.
+fn by_node<T>(v: Vec<(rdma_sim::NodeId, T)>) -> Vec<(u16, T)> {
+    v.into_iter().map(|(n, x)| (n.0, x)).collect()
 }
 
 fn ops_json(o: &OpCountersSnapshot) -> String {
@@ -425,6 +540,42 @@ fn ops_json(o: &OpCountersSnapshot) -> String {
         "{{\"reads\":{},\"writes\":{},\"cas\":{},\"faa\":{},\"flushes\":{},\
          \"bytes_read\":{},\"bytes_written\":{}}}",
         o.reads, o.writes, o.cas, o.faa, o.flushes, o.bytes_read, o.bytes_written
+    )
+}
+
+fn summary_json(h: &LatencySummary) -> String {
+    format!(
+        "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
+        h.count, h.mean_ns, h.p50_ns, h.p95_ns, h.p99_ns
+    )
+}
+
+/// One recovery: step and total durations in nanoseconds, what the log
+/// held, and the run's host-independent costs (verbs, barriers, fan-outs).
+fn recovery_json(r: &RecoveryReport) -> String {
+    let ns = |d: Duration| d.as_nanos() as u64;
+    format!(
+        "{{\"coord\":{},\"detection_ns\":{},\"link_termination_ns\":{},\
+         \"log_recovery_ns\":{},\"stray_notification_ns\":{},\"total_ns\":{},\
+         \"end_to_end_ns\":{},\"logged_txns\":{},\"rolled_forward\":{},\
+         \"rolled_back\":{},\"locks_released\":{},\"completed\":{},\"attempts\":{},\
+         \"verbs\":{},\"barriers\":{},\"link_fanouts\":{}}}",
+        r.coord,
+        ns(r.detection),
+        ns(r.link_termination),
+        ns(r.log_recovery),
+        ns(r.stray_notification),
+        ns(r.total),
+        ns(r.end_to_end()),
+        r.logged_txns,
+        r.rolled_forward,
+        r.rolled_back,
+        r.locks_released,
+        r.completed,
+        r.attempts,
+        r.verbs,
+        r.barriers,
+        r.link_fanouts
     )
 }
 
@@ -438,7 +589,7 @@ impl MetricsSnapshot {
         ));
         s.push_str("\"txn_latency\":");
         match &self.txn_latency {
-            Some(h) => s.push_str(&h.to_json()),
+            Some(h) => s.push_str(&summary_json(h)),
             None => s.push_str("null"),
         }
         s.push_str(",\"phases\":{");
@@ -446,7 +597,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("\"{name}\":{}", h.to_json()));
+            s.push_str(&format!("\"{name}\":{}", summary_json(h)));
         }
         s.push_str("},\"abort_reasons\":{");
         for (i, (name, n)) in self.abort_reasons.iter().enumerate() {
@@ -476,20 +627,11 @@ impl MetricsSnapshot {
                     "{{\"in_flight\":{},\"in_flight_high_water\":{},\"kinds\":{{",
                     v.verbs_in_flight, v.in_flight_high_water
                 ));
-                for (i, k) in v.kinds.iter().enumerate() {
+                for (i, (kind, k)) in VerbKind::ALL.iter().zip(&v.kinds).enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push_str(&format!(
-                        "\"{}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\
-                         \"p95_ns\":{},\"p99_ns\":{}}}",
-                        k.kind.name(),
-                        k.count,
-                        k.mean_ns,
-                        k.p50_ns,
-                        k.p95_ns,
-                        k.p99_ns
-                    ));
+                    s.push_str(&format!("\"{}\":{}", kind.name(), summary_json(k)));
                 }
                 s.push_str("}}");
             }
@@ -554,7 +696,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&r.to_json());
+            s.push_str(&recovery_json(r));
         }
         s.push_str("],\"timeline\":[");
         for (i, p) in self.timeline.iter().enumerate() {
@@ -852,6 +994,157 @@ mod tests {
     use super::*;
 
     #[test]
+    fn probe_counts() {
+        let p = ThroughputProbe::new();
+        p.commit();
+        p.commit();
+        p.abort();
+        assert_eq!(p.committed_total(), 2);
+        assert_eq!(p.aborted_total(), 1);
+        assert!((p.abort_rate() - 1.0 / 3.0).abs() < 1e-9);
+        assert_eq!(ThroughputProbe::new().abort_rate(), 0.0, "empty probe");
+    }
+
+    #[test]
+    fn sampler_produces_series() {
+        let p = ThroughputProbe::new();
+        let sampler = TimelineSampler::spawn(Arc::clone(&p), || 2, Duration::from_millis(10));
+        for _ in 0..50 {
+            p.commit();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        p.abort();
+        let points = sampler.finish();
+        assert!(points.len() >= 3);
+        let total: u64 = points.iter().map(|s| s.committed_delta).sum();
+        // The thread takes its baseline when it starts, not at `spawn`.
+        assert!((40..=50).contains(&total), "most commits should be captured, got {total}");
+        assert_eq!(points.iter().map(|s| s.aborted_delta).sum::<u64>(), 1);
+        assert!(points.iter().any(|s| s.tps > 0.0));
+        assert!(points.iter().all(|s| s.recoveries_in_flight == 2));
+    }
+
+    #[test]
+    fn sampler_counts_commits_after_the_last_tick() {
+        let p = ThroughputProbe::new();
+        let sampler = TimelineSampler::spawn(Arc::clone(&p), || 0, Duration::from_millis(50));
+        // Land well inside the first interval, then stop before the next
+        // tick: without the final partial sample these commits vanish.
+        std::thread::sleep(Duration::from_millis(5));
+        for _ in 0..25 {
+            p.commit();
+        }
+        let points = sampler.finish();
+        let total: u64 = points.iter().map(|s| s.committed_delta).sum();
+        assert_eq!(total, 25, "final partial interval must be sampled");
+    }
+
+    fn point(at_ms: u64, committed_delta: u64, interval_ms: u64) -> TimelinePoint {
+        TimelinePoint {
+            at_ms,
+            committed_delta,
+            aborted_delta: 0,
+            tps: committed_delta as f64 * 1000.0 / interval_ms as f64,
+            recoveries_in_flight: 0,
+        }
+    }
+
+    #[test]
+    fn mean_tps_windows() {
+        let points = [point(10, 1, 10), point(20, 2, 10), point(30, 3, 10)];
+        assert!((mean_tps(&points, 0, 25) - 150.0).abs() < 1e-9);
+        assert!((mean_tps(&points, 25, 100) - 300.0).abs() < 1e-9);
+        assert_eq!(mean_tps(&points, 100, 200), 0.0);
+    }
+
+    #[test]
+    fn mean_tps_weights_uneven_intervals_by_their_length() {
+        // Regression: a 10 ms interval at 1000 tps and a 100 ms interval
+        // at 100 tps are 20 commits in 110 ms — 181.8 tps, not the 550 the
+        // unweighted mean of the two rates gave.
+        let points = [point(10, 10, 10), point(110, 10, 100)];
+        assert!((mean_tps(&points, 0, 200) - 20.0 / 0.110).abs() < 1e-9);
+        // The window selects whole intervals by their end time.
+        assert!((mean_tps(&points, 50, 200) - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn latency_histogram_merge_matches_single_histogram() {
+        let one = LatencyHistogram::new();
+        let a = LatencyHistogram::new();
+        let b = LatencyHistogram::new();
+        for (i, us) in [10u64, 20, 30, 40, 50, 100, 200, 400, 800, 5000].iter().enumerate() {
+            let d = Duration::from_micros(*us);
+            one.record(d);
+            if i % 2 == 0 {
+                a.record(d)
+            } else {
+                b.record(d)
+            }
+        }
+        a.merge(&b);
+        assert_eq!(a.summary(), one.summary());
+        assert_eq!(a.count(), 10);
+    }
+
+    #[test]
+    fn latency_histogram_percentiles_are_ordered() {
+        let h = LatencyHistogram::new();
+        for us in [10u64, 20, 30, 40, 50, 100, 200, 400, 800, 5000] {
+            h.record(Duration::from_micros(us));
+        }
+        assert_eq!(h.count(), 10);
+        let (p50, p95, p99) = h.percentiles();
+        assert!(p50 <= p95 && p95 <= p99, "{p50:?} {p95:?} {p99:?}");
+        assert!(p50 >= Duration::from_micros(10));
+        assert!(p99 >= Duration::from_micros(800));
+        assert!(h.mean() >= Duration::from_micros(100));
+    }
+
+    #[test]
+    fn empty_histogram_is_zero() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), Duration::ZERO);
+        assert_eq!(h.quantile(0.99), Duration::ZERO);
+        assert_eq!(h.summary(), LatencySummary::default());
+    }
+
+    #[test]
+    fn histogram_bucket_resolution_is_within_2x() {
+        let h = LatencyHistogram::new();
+        for _ in 0..100 {
+            h.record(Duration::from_micros(100));
+        }
+        let p50 = h.quantile(0.5);
+        // 100 µs falls in bucket [2^16, 2^17) ns → reported edge 2^17 ns
+        // ≈ 131 µs: within 2× of the true value.
+        assert!(p50 >= Duration::from_micros(100) && p50 <= Duration::from_micros(200));
+    }
+
+    #[test]
+    fn the_fabric_and_the_histogram_summarise_alike() {
+        // One walk, two write disciplines: the same latencies recorded
+        // through a queue pair's single-writer block and through the
+        // shared histogram must summarise to the same five numbers.
+        let fabric = rdma_sim::Fabric::new(rdma_sim::FabricConfig {
+            memory_nodes: 1,
+            capacity_per_node: 4 << 10,
+            latency: rdma_sim::LatencyModel { rtt: Duration::from_micros(3), ns_per_kib: 0 },
+        });
+        let qp = fabric
+            .qp(fabric.register_endpoint(), rdma_sim::NodeId(0), rdma_sim::FaultInjector::new())
+            .unwrap();
+        let h = LatencyHistogram::new();
+        for _ in 0..20 {
+            let id = qp.post_read(0, 8).unwrap();
+            let c = qp.wait(id);
+            h.record(Duration::from_nanos(c.completed_at - c.posted_at));
+        }
+        assert_eq!(fabric.verb_stats().kinds[VerbKind::Read as usize], h.summary());
+    }
+
+    #[test]
     fn phase_stats_record_and_snapshot() {
         let stats = PhaseStats::new();
         for _ in 0..100 {
@@ -862,7 +1155,7 @@ mod tests {
         stats.note_abort(AbortReason::LockConflict);
         stats.note_abort(AbortReason::ValidationVersion);
 
-        let snaps = stats.histogram_snapshots();
+        let snaps = stats.summaries();
         assert_eq!(snaps[0].0, "execute");
         assert_eq!(snaps[0].1.count, 100);
         assert!(snaps[0].1.p50_ns >= 10_000);
@@ -901,6 +1194,9 @@ mod tests {
             total: Duration::from_micros(25),
             completed: true,
             logged_txns: 1,
+            verbs: 36,
+            barriers: 5,
+            link_fanouts: 1,
             ..Default::default()
         }]);
         let text = registry.snapshot().to_json();
@@ -923,6 +1219,10 @@ mod tests {
         assert_eq!(recs[0].get("detection_ns").and_then(|c| c.as_u64()), Some(5_000));
         assert_eq!(recs[0].get("end_to_end_ns").and_then(|c| c.as_u64()), Some(30_000));
         assert_eq!(recs[0].get("completed").and_then(|c| c.as_bool()), Some(true));
+        // The host-independent recovery gates reach the JSON.
+        for (key, want) in [("verbs", 36), ("barriers", 5), ("link_fanouts", 1)] {
+            assert_eq!(recs[0].get(key).and_then(|c| c.as_u64()), Some(want), "{key}");
+        }
     }
 
     #[test]
@@ -1018,14 +1318,14 @@ mod tests {
     fn timeline_points_appear_in_json() {
         let registry = MetricsRegistry::new();
         registry.add_timeline(&[
-            crate::metrics::TimelinePoint {
+            TimelinePoint {
                 at_ms: 10,
                 committed_delta: 100,
                 aborted_delta: 3,
                 tps: 10_000.0,
                 recoveries_in_flight: 0,
             },
-            crate::metrics::TimelinePoint {
+            TimelinePoint {
                 at_ms: 20,
                 committed_delta: 40,
                 aborted_delta: 9,

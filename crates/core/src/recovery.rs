@@ -381,6 +381,20 @@ impl RecoveryCoordinator {
         )
     }
 
+    /// A recovery verb that exhausted even the escalated budget fences
+    /// the RC: a chaos-track instant and a post-mortem dump, then the
+    /// crash-stop.
+    fn fence_on_timeout<T>(&self, r: &RdmaResult<T>) {
+        if matches!(r, Err(rdma_sim::RdmaError::Timeout { .. })) && !self.injector.is_crashed() {
+            self.ctx.resilience.note_self_fence();
+            if let Some(rec) = self.ctx.flight() {
+                rec.chaos_instant("self-fence-recovery", 0);
+                rec.auto_dump("self-fence-recovery");
+            }
+            self.injector.crash_now();
+        }
+    }
+
     /// Like [`Self::retry_verb`], but if even the escalated budget is
     /// exhausted the RC *fences itself* (crash-stop): every subsequent
     /// verb of this run fails closed, the report ends `completed: false`,
@@ -389,14 +403,7 @@ impl RecoveryCoordinator {
     /// while continuing half-blind here would not be.
     fn verb_or_fence<T>(&self, f: impl FnMut() -> RdmaResult<T>) -> RdmaResult<T> {
         let r = self.retry_verb(f);
-        if matches!(r, Err(rdma_sim::RdmaError::Timeout { .. })) && !self.injector.is_crashed() {
-            self.ctx.resilience.note_self_fence();
-            if let Some(rec) = self.ctx.flight() {
-                rec.chaos_instant("self-fence-recovery", 0);
-            }
-            self.ctx.flight_dump("self-fence-recovery");
-            self.injector.crash_now();
-        }
+        self.fence_on_timeout(&r);
         r
     }
 
@@ -421,14 +428,7 @@ impl RecoveryCoordinator {
             0,
             true, // PILL word: value equality proves ownership
         );
-        if matches!(r, Err(rdma_sim::RdmaError::Timeout { .. })) && !self.injector.is_crashed() {
-            self.ctx.resilience.note_self_fence();
-            if let Some(rec) = self.ctx.flight() {
-                rec.chaos_instant("self-fence-recovery", 0);
-            }
-            self.ctx.flight_dump("self-fence-recovery");
-            self.injector.crash_now();
-        }
+        self.fence_on_timeout(&r);
         r
     }
 

@@ -52,8 +52,8 @@ use dkvs::{entry_encoded_size, TableId, LOG_LANE_BYTES, TXN_LOG_LANES};
 use crate::commit::{Commit, Phase};
 use crate::coordinator::Coordinator;
 use crate::exec::{Exec, Op, OpKind};
+use crate::flight::TxnEvent;
 use crate::obs::TxnPhase;
-use crate::trace::TxnEvent;
 use crate::txn::{AbortReason, TxnError};
 
 /// A read-modify-write closure: old value in, new value out (the new
@@ -459,7 +459,7 @@ impl Coordinator {
             // post-ack crashes).
             for slot in slots.iter_mut() {
                 if let Some(mut s) = slot.take() {
-                    self.trace(TxnEvent::Crashed { txn_id: s.c.txn_id });
+                    s.c.trace(TxnEvent::Crashed);
                     let result = s.result.take().unwrap_or(Err(TxnError::Crashed));
                     finish_slot(self, &s, &result);
                     results[s.req] = Some(result);
@@ -480,10 +480,9 @@ fn finish_slot(co: &Coordinator, s: &SlotTxn, result: &Result<TxnOutcome, TxnErr
     if let Some(st) = &co.sched {
         st.note_finish(result);
     }
-    if let Some(f) = &s.c.flight {
-        if f.enabled() {
-            f.end_from_instant("txn", s.c.txn_id, s.t0, result.is_ok());
-        }
+    // A disabled recorder costs no clock read.
+    if let Some(f) = s.c.flight.as_ref().filter(|f| f.enabled()) {
+        f.ended("txn", s.c.txn_id, s.t0.elapsed(), result.is_ok());
     }
 }
 
@@ -513,13 +512,13 @@ fn admit(co: &mut Coordinator, req: usize, si: usize, ops: &[TxnOp]) -> SlotTxn 
     co.txn_seq += 1;
     let seq = co.txn_seq;
     let txn_id = ((co.coord_id as u64) << 48) | seq;
-    co.trace(TxnEvent::Begin { txn_id });
     if let Some(st) = &co.sched {
         st.note_admit();
     }
     // The recorder cached at connect: no context lock per admission.
     let flight = co.flight.as_ref().map(|f| f.recorder().slot_handle(co.coord_id, si as u16));
     let mut c = Commit::new(txn_id, si as u32, co.lock_for(seq), true, flight);
+    c.trace(TxnEvent::Begin);
     c.start_timer(co);
     let mut x = Exec::default();
     x.begin(ops.len());

@@ -26,6 +26,7 @@ use rdma_sim::RdmaError;
 use crate::commit::{Commit, Phase};
 use crate::coordinator::Coordinator;
 use crate::exec::{self, Exec, Op, OpKind};
+use crate::flight::TxnEvent;
 use crate::obs::TxnPhase;
 use crate::sched::TxnOp;
 
@@ -178,7 +179,8 @@ pub struct Txn<'c> {
 impl<'c> Txn<'c> {
     pub(crate) fn new(co: &'c mut Coordinator, txn_id: u64) -> Txn<'c> {
         let started = co.phase_start();
-        let c = Commit::new(txn_id, 0, co.my_lock(), false, None);
+        let c = Commit::new(txn_id, 0, co.my_lock(), false, co.flight.clone());
+        c.trace(TxnEvent::Begin);
         Txn { co, c, x: Exec::default(), done: false, started }
     }
 
@@ -325,18 +327,18 @@ impl<'c> Txn<'c> {
         // Execution ends at the commit() call; lock-acquisition time spent
         // during eager locking belongs to the lock phase, not execute.
         if let Some(t0) = self.started {
-            self.co
-                .record_phase(TxnPhase::Execute, t0.elapsed().saturating_sub(self.x.lock_elapsed));
+            let execute = t0.elapsed().saturating_sub(self.x.lock_elapsed);
+            self.c.record_phase(self.co, TxnPhase::Execute, execute);
         }
         let result = self.drive_commit();
         match &result {
             Ok(()) => {
                 if self.started.is_some() && !self.c.write_set.is_empty() {
-                    self.co.record_phase(TxnPhase::Lock, self.x.lock_elapsed);
+                    self.c.record_phase(self.co, TxnPhase::Lock, self.x.lock_elapsed);
                 }
             }
             Err(TxnError::Crashed) => {
-                self.co.trace(crate::trace::TxnEvent::Crashed { txn_id: self.c.txn_id });
+                self.c.trace(TxnEvent::Crashed);
                 self.co.note_crashed()
             }
             // The pipeline already ran the cleanup its error calls for:
@@ -394,12 +396,9 @@ impl<'c> Txn<'c> {
     /// whole-transaction flight span (begin → ack; `started` is consumed,
     /// so it fires once), the `done` mark, and the pause gate.
     fn exit(&mut self, ok: bool) {
-        if let Some(f) = &self.co.flight {
-            if f.enabled() {
-                if let Some(t0) = self.started.take() {
-                    f.end_from_instant("txn", self.c.txn_id, t0, ok);
-                }
-            }
+        let flight = self.c.flight.as_ref().filter(|f| f.enabled());
+        if let (Some(f), Some(t0)) = (flight, self.started.take()) {
+            f.ended("txn", self.c.txn_id, t0.elapsed(), ok);
         }
         self.done = true;
         self.co.ctx.pause.exit_txn(&self.co.gate);

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use common::{cluster_with_keys, generation_of, value_for, ALL_PROTOCOLS, KV};
 use pandora::{
-    AbortReason, PhaseStats, ProtocolKind, RetryPolicy, SystemConfig, Tracer, TxnError, TxnEvent,
+    AbortReason, Payload, PhaseStats, ProtocolKind, RetryPolicy, SystemConfig, TxnError, TxnEvent,
 };
 use rdma_sim::{ChaosConfig, CrashMode, CrashPlan};
 
@@ -462,8 +462,8 @@ fn validation_blames_an_exhausted_retry_budget_on_the_network() {
 fn a_crash_during_validation_is_a_crash_not_an_abort() {
     let cluster = cluster_with_keys(ProtocolKind::Pandora, 10);
     let (co, stats) = reader_at_validation(&cluster);
-    let tracer = Tracer::new(64);
-    let mut co = co.with_tracer(Arc::clone(&tracer));
+    let recorder = pandora::FlightRecorder::new(cluster.ctx.fabric.clock(), 0, 64);
+    let mut co = co.with_flight(&recorder);
     let injector = co.injector();
     let mut txn = co.begin();
     txn.read(KV, 2).unwrap().expect("loaded");
@@ -473,12 +473,12 @@ fn a_crash_during_validation_is_a_crash_not_an_abort() {
     // The abort path never ran: the crash is reported once, no
     // abort-ack went out, nothing was counted, and key 3's lock is left
     // in place for recovery.
-    let crashes = tracer
+    let crashes = recorder
         .snapshot()
         .iter()
-        .filter(|r| matches!(r.event, TxnEvent::Crashed { .. }))
+        .filter(|r| r.payload == Payload::Txn(TxnEvent::Crashed))
         .count();
-    assert_eq!(crashes, 1, "{}", tracer.dump());
+    assert_eq!(crashes, 1, "{}", recorder.dump_text());
     assert!(stats.abort_counts().iter().all(|&(_, n)| n == 0), "{:?}", stats.abort_counts());
     let (lock, _, _) = cluster.raw_slot(KV, 3, cluster.replica_nodes(KV, 3)[0]).unwrap();
     assert!(lock.is_locked(), "a crashed coordinator releases nothing");

@@ -42,9 +42,9 @@ pub struct LitmusConfig {
     /// (hundreds of microseconds) force rich thread interleavings on
     /// small hosts, widening the schedule space the harness explores.
     pub latency: rdma_sim::LatencyModel,
-    /// Capacity of the shared protocol-event tracer each iteration
-    /// attaches (the "rich trace" dumped on a violation). Deep schedules
-    /// with many retries may need more than the default 4096.
+    /// Records retained per coordinator by the flight recorder each
+    /// iteration attaches (the "rich trace" dumped on a violation). Deep
+    /// schedules with many retries may need more than the default 4096.
     pub trace_capacity: usize,
 }
 
@@ -220,11 +220,11 @@ pub fn run_random(test: &LitmusTest, config: &LitmusConfig) -> LitmusOutcome {
             rdma_sim::CrashMode::BeforeOp
         };
 
-        // One shared tracer: on a violation we dump the interleaved
-        // protocol events of every participant. Stamping with the
-        // fabric clock puts trace records and flight-recorder spans on
-        // one time axis when both are attached.
-        let tracer = pandora::Tracer::with_clock(config.trace_capacity, cluster.ctx.fabric.clock());
+        // One standalone flight recorder shared by the participants: on
+        // a violation we dump their interleaved protocol events and phase
+        // spans. Standalone, so the fabric taps no verb for it.
+        let recorder =
+            pandora::FlightRecorder::new(cluster.ctx.fabric.clock(), 0, config.trace_capacity);
         let mut handles = Vec::new();
         let mut crashed_coords = Vec::new();
         for (i, program) in test.txns.iter().enumerate() {
@@ -234,7 +234,7 @@ pub fn run_random(test: &LitmusTest, config: &LitmusConfig) -> LitmusOutcome {
             let max_retries = config.max_retries;
             let crash_here = crash_txn == Some(i);
             let (co, lease) = cluster.coordinator().expect("litmus coordinator");
-            let mut co = co.with_tracer(Arc::clone(&tracer));
+            let mut co = co.with_flight(&recorder);
             if crash_here {
                 co.injector().arm(rdma_sim::CrashPlan { at_op: crash_at_op, mode: crash_mode });
                 crashed_coords.push(lease.coord_id);
@@ -268,18 +268,10 @@ pub fn run_random(test: &LitmusTest, config: &LitmusConfig) -> LitmusOutcome {
 
         let state = observe(&cluster, &test.observed);
         if let Err(v) = (test.check)(&state) {
-            // When the cluster carries a flight recorder with a dump
-            // directory, the violation also leaves a span-level
-            // post-mortem file and the report names it.
-            let dump = cluster
-                .ctx
-                .flight_dump("litmus-violation")
-                .map(|p| format!("\n--- flight dump: {} ---", p.display()))
-                .unwrap_or_default();
             out.violations.push(format!(
-                "{}: iteration {iter} (crash txn {crash_txn:?} at op {crash_at_op} {crash_mode:?}): {v}{dump}\n--- protocol trace ---\n{}",
+                "{}: iteration {iter} (crash txn {crash_txn:?} at op {crash_at_op} {crash_mode:?}): {v}\n--- protocol trace ---\n{}",
                 test.name,
-                tracer.dump()
+                recorder.dump_text()
             ));
         }
     }

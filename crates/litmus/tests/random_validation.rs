@@ -77,3 +77,48 @@ fn random_harness_catches_covert_locks_bug() {
     assert!(report.contains("protocol trace"), "violation must embed the trace: {report}");
     assert!(report.contains("Committed"), "trace must show the conflicting commits");
 }
+
+#[test]
+fn violation_report_holds_one_dump_that_names_the_lock_conflict() {
+    use pandora_litmus::model::{Expr, LitmusTest, Op, TxnProgram, X};
+
+    // Two blind writers of X and a check that always objects: every
+    // iteration yields a report, and under sleep-scale latency the two
+    // lock CASes race, so the loser's history holds a `LockConflict`.
+    let write_x =
+        |name, v| TxnProgram { name, ops: vec![Op::Write { var: X, expr: Expr::Const(v) }] };
+    let contended = LitmusTest {
+        name: "forced-violation",
+        init: vec![(X, 0)],
+        observed: vec![X],
+        txns: vec![write_x("T1", 1), write_x("T2", 2)],
+        check: |_| Err("forced".into()),
+    };
+    let mut cfg = LitmusConfig::new(ProtocolKind::Pandora);
+    cfg.inject_crashes = false;
+    cfg.iterations = 16;
+    cfg.latency =
+        rdma_sim::LatencyModel { rtt: std::time::Duration::from_micros(300), ns_per_kib: 0 };
+    let outcome = run_random(&contended, &cfg);
+    assert_eq!(outcome.violations.len(), 16);
+    for report in &outcome.violations {
+        assert_eq!(report.matches("--- ").count(), 1, "one dump per report: {report}");
+    }
+    // `… coordinator <loser> … LockConflict { table: …, key: 1, owner: <winner> }`
+    let (report, conflict) = outcome
+        .violations
+        .iter()
+        .find_map(|r| r.lines().find(|l| l.contains("LockConflict")).map(|l| (r, l)))
+        .expect("16 racing iterations without one lock conflict");
+    let field = |name: &str| -> u64 {
+        let rest = conflict[conflict.find(name).expect(name) + name.len()..].trim_start();
+        rest.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+    };
+    let (loser, owner) = (field("coordinator"), field("owner:"));
+    assert_eq!(field("key:"), X.0, "{conflict}");
+    assert_ne!(owner, loser, "a transaction does not conflict with itself: {conflict}");
+    assert!(
+        report.contains(&format!("coordinator {owner} ")),
+        "the owner is the other participant: {report}"
+    );
+}

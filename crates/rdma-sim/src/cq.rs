@@ -104,20 +104,6 @@ impl PendingState {
     }
 }
 
-const KINDS: [VerbKind; 5] =
-    [VerbKind::Read, VerbKind::Write, VerbKind::Cas, VerbKind::Faa, VerbKind::Flush];
-
-#[inline]
-fn kind_index(kind: VerbKind) -> usize {
-    match kind {
-        VerbKind::Read => 0,
-        VerbKind::Write => 1,
-        VerbKind::Cas => 2,
-        VerbKind::Faa => 3,
-        VerbKind::Flush => 4,
-    }
-}
-
 /// Add `n` to a statistic that has exactly one writer at a time: a plain
 /// load and a plain store, no lock-prefixed read-modify-write. Every
 /// per-verb statistic of a queue pair is written this way, under the
@@ -129,9 +115,62 @@ pub(crate) fn bump(cell: &AtomicU64, n: u64) {
     cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
+/// The bucket of a log₂ latency histogram `ns` falls in: bucket `i`
+/// counts observations in `[2^i, 2^(i+1))` ns (0 ns counts as 1 ns).
+#[inline]
+pub fn log2_bucket(ns: u64) -> usize {
+    63 - ns.max(1).leading_zeros() as usize
+}
+
+/// Count, mean and three quantiles of a log₂ latency histogram — the one
+/// summary every histogram of the workspace reports (this crate's
+/// per-verb-kind blocks and `pandora::obs::LatencyHistogram`; the
+/// protocol crates depend on `rdma-sim`, never the reverse, so it lives
+/// here). A quantile is the upper edge of the bucket holding the q-th
+/// observation: good to 2×, which is plenty for p50/p99 shape.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencySummary {
+    pub count: u64,
+    pub mean_ns: u64,
+    pub p50_ns: u64,
+    pub p95_ns: u64,
+    pub p99_ns: u64,
+}
+
+impl LatencySummary {
+    /// Summarise `buckets` (see [`log2_bucket`]) whose observations add
+    /// up to `sum_ns`. The count is the sum of the buckets.
+    pub fn of(buckets: &[u64; 64], sum_ns: u64) -> LatencySummary {
+        let count: u64 = buckets.iter().sum();
+        LatencySummary {
+            count,
+            mean_ns: sum_ns.checked_div(count).unwrap_or(0),
+            p50_ns: LatencySummary::quantile_ns(buckets, 0.50),
+            p95_ns: LatencySummary::quantile_ns(buckets, 0.95),
+            p99_ns: LatencySummary::quantile_ns(buckets, 0.99),
+        }
+    }
+
+    /// The quantile walk (`q` in [0, 1]); 0 for an empty histogram.
+    pub fn quantile_ns(buckets: &[u64; 64], q: f64) -> u64 {
+        let count: u64 = buckets.iter().sum();
+        if count == 0 {
+            return 0;
+        }
+        let target = ((count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, b) in buckets.iter().enumerate() {
+            seen += b;
+            if seen >= target {
+                return 1u64 << (i + 1).min(63);
+            }
+        }
+        u64::MAX
+    }
+}
+
 /// Log₂-bucket histogram of modeled post→completion latency for one verb
-/// kind (self-contained: the protocol crates depend on `rdma-sim`, never
-/// the reverse). The count is the sum of the buckets.
+/// kind, written with [`bump`].
 struct KindHist {
     buckets: [AtomicU64; 64],
     sum_ns: AtomicU64,
@@ -144,8 +183,7 @@ impl KindHist {
 
     #[inline]
     fn record(&self, ns: u64) {
-        let bucket = 63 - ns.max(1).leading_zeros() as usize;
-        bump(&self.buckets[bucket], 1);
+        bump(&self.buckets[log2_bucket(ns)], 1);
         bump(&self.sum_ns, ns);
     }
 }
@@ -161,6 +199,8 @@ impl KindHist {
 pub(crate) struct QpStats {
     /// `NodeId.0` of the memory node the QP targets.
     node: u16,
+    /// Lane index when the QP is one lane of a [`crate::QpStripe`].
+    lane: Option<u32>,
     pub(crate) counters: Arc<OpCounters>,
     kinds: [KindHist; 5],
 }
@@ -168,7 +208,7 @@ pub(crate) struct QpStats {
 impl QpStats {
     #[inline]
     pub(crate) fn record_latency(&self, kind: VerbKind, lat_ns: u64) {
-        self.kinds[kind_index(kind)].record(lat_ns);
+        self.kinds[kind as usize].record(lat_ns);
     }
 }
 
@@ -211,6 +251,8 @@ pub(crate) struct TelemetryTotals {
     /// The deepest any one endpoint reached — a maximum, not a sum.
     in_flight_high_water: u64,
     pub(crate) nodes: Vec<OpCountersSnapshot>,
+    /// Per node, per lane: the counters of striped links only.
+    pub(crate) stripes: Vec<Vec<OpCountersSnapshot>>,
 }
 
 impl TelemetryTotals {
@@ -221,6 +263,7 @@ impl TelemetryTotals {
             in_flight: 0,
             in_flight_high_water: 0,
             nodes: vec![OpCountersSnapshot::default(); memory_nodes],
+            stripes: vec![Vec::new(); memory_nodes],
         }
     }
 
@@ -231,8 +274,16 @@ impl TelemetryTotals {
             }
             self.sum_ns[k] += hist.sum_ns.load(Ordering::Relaxed);
         }
+        let ops = qp.counters.snapshot();
         let node = &mut self.nodes[qp.node as usize];
-        *node = node.plus(&qp.counters.snapshot());
+        *node = node.plus(&ops);
+        if let Some(lane) = qp.lane {
+            let lanes = &mut self.stripes[qp.node as usize];
+            if lanes.len() <= lane as usize {
+                lanes.resize(lane as usize + 1, OpCountersSnapshot::default());
+            }
+            lanes[lane as usize] = lanes[lane as usize].plus(&ops);
+        }
     }
 
     fn add_endpoint(&mut self, gauge: &EndpointGauge) {
@@ -241,35 +292,9 @@ impl TelemetryTotals {
             self.in_flight_high_water.max(gauge.high_water.load(Ordering::Acquire));
     }
 
-    fn quantile_ns(&self, k: usize, count: u64, q: f64) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        let target = ((count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets[k].iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
-    }
-
     pub(crate) fn verb_snapshot(&self) -> VerbLatencySnapshot {
-        let kinds = std::array::from_fn(|k| {
-            let count: u64 = self.buckets[k].iter().sum();
-            VerbKindLatency {
-                kind: KINDS[k],
-                count,
-                mean_ns: self.sum_ns[k].checked_div(count).unwrap_or(0),
-                p50_ns: self.quantile_ns(k, count, 0.50),
-                p95_ns: self.quantile_ns(k, count, 0.95),
-                p99_ns: self.quantile_ns(k, count, 0.99),
-            }
-        });
         VerbLatencySnapshot {
-            kinds,
+            kinds: std::array::from_fn(|k| LatencySummary::of(&self.buckets[k], self.sum_ns[k])),
             verbs_in_flight: self.in_flight,
             in_flight_high_water: self.in_flight_high_water,
         }
@@ -307,12 +332,13 @@ impl Telemetry {
         })
     }
 
-    /// Register one new queue pair from `endpoint` to `node`: a fresh
-    /// block of its own, and the endpoint's gauge (created on the
-    /// endpoint's first queue pair).
-    pub(crate) fn lease(self: &Arc<Self>, endpoint: u32, node: u16) -> QpLease {
+    /// Register one new queue pair from `endpoint` to `node` — lane
+    /// `lane` of a stripe, or a link of its own: a fresh block, and the
+    /// endpoint's gauge (created on the endpoint's first queue pair).
+    pub(crate) fn lease(self: &Arc<Self>, endpoint: u32, node: u16, lane: Option<u32>) -> QpLease {
         let stats = Arc::new(QpStats {
             node,
+            lane,
             counters: Arc::new(OpCounters::default()),
             kinds: std::array::from_fn(|_| KindHist::new()),
         });
@@ -379,10 +405,10 @@ impl Drop for QpLease {
 
 /// Plain-data snapshot of the fabric's verb-latency telemetry (the sum
 /// over endpoints, see [`crate::Fabric::verb_stats`]), one entry per verb
-/// kind in READ/WRITE/CAS/FAA/FLUSH order.
+/// kind in [`VerbKind::ALL`] order.
 #[derive(Debug, Clone, Copy)]
 pub struct VerbLatencySnapshot {
-    pub kinds: [VerbKindLatency; 5],
+    pub kinds: [LatencySummary; 5],
     /// Posted-but-undelivered verbs at snapshot time.
     pub verbs_in_flight: u64,
     /// The deepest the in-flight gauge of any one endpoint has been since
@@ -397,17 +423,6 @@ impl VerbLatencySnapshot {
     }
 }
 
-/// Post→completion latency summary for one verb kind.
-#[derive(Debug, Clone, Copy)]
-pub struct VerbKindLatency {
-    pub kind: VerbKind,
-    pub count: u64,
-    pub mean_ns: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +435,7 @@ mod tests {
     #[test]
     fn lease_tracks_posts_and_high_water() {
         let reg = Telemetry::new(1);
-        let lease = reg.lease(0, 0);
+        let lease = reg.lease(0, 0, None);
         post(&lease, VerbKind::Read, 2_000);
         post(&lease, VerbKind::Read, 2_000);
         post(&lease, VerbKind::Cas, 1_000);
@@ -440,7 +455,7 @@ mod tests {
     #[test]
     fn kind_quantiles_are_log2_upper_edges() {
         let reg = Telemetry::new(1);
-        let lease = reg.lease(0, 0);
+        let lease = reg.lease(0, 0, None);
         for _ in 0..100 {
             post(&lease, VerbKind::Write, 100_000); // bucket [2^16, 2^17)
         }
@@ -452,8 +467,10 @@ mod tests {
     fn retired_endpoints_keep_their_counts_and_leave_the_registry() {
         let reg = Telemetry::new(2);
         for endpoint in 0..100u32 {
-            // Three queue pairs per endpoint, the middle one to node 1.
-            let mut leases: Vec<QpLease> = (0..3u16).map(|l| reg.lease(endpoint, l % 2)).collect();
+            // Three queue pairs per endpoint — lanes 0..3 of a stripe —
+            // the middle one to node 1.
+            let mut leases: Vec<QpLease> =
+                (0..3u16).map(|l| reg.lease(endpoint, l % 2, Some(l as u32))).collect();
             post(&leases[0], VerbKind::Faa, 500);
             bump(&leases[1].stats.counters.faa, 1);
             post(&leases[2], VerbKind::Read, 700);
@@ -474,6 +491,8 @@ mod tests {
         assert_eq!(totals.verb_snapshot().verbs_in_flight, 0);
         assert_eq!(totals.verb_snapshot().in_flight_high_water, 2, "a maximum, not a sum");
         assert_eq!(totals.nodes[1].faa, 100);
+        assert_eq!(totals.stripes[1][1].faa, 100, "lane totals survive retirement");
+        assert_eq!(totals.stripes[0].len(), 3, "lanes 0 and 2 went to node 0");
         assert_eq!(totals.nodes[0], OpCountersSnapshot::default());
     }
 }

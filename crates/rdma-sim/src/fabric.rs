@@ -171,7 +171,7 @@ impl Fabric {
         node: NodeId,
         injector: Arc<FaultInjector>,
     ) -> RdmaResult<QueuePair> {
-        self.qp_with_latency(endpoint, node, injector, self.latency)
+        self.connect(endpoint, node, injector, self.latency, None)
     }
 
     /// Queue pair with an explicit latency model, overriding the
@@ -185,6 +185,19 @@ impl Fabric {
         injector: Arc<FaultInjector>,
         latency: LatencyModel,
     ) -> RdmaResult<QueuePair> {
+        self.connect(endpoint, node, injector, latency, None)
+    }
+
+    /// A data-path queue pair carrying the installed chaos link and
+    /// flight tap; `lane` when it is one lane of a stripe.
+    fn connect(
+        &self,
+        endpoint: EndpointId,
+        node: NodeId,
+        injector: Arc<FaultInjector>,
+        latency: LatencyModel,
+        lane: Option<u32>,
+    ) -> RdmaResult<QueuePair> {
         let node = Arc::clone(self.node(node)?);
         let chaos = self.chaos.read().as_ref().map(|m| m.link(endpoint.0, node.id().0));
         let flight = self
@@ -192,7 +205,7 @@ impl Fabric {
             .read()
             .as_ref()
             .map(|s| FlightTap::new(Arc::clone(s), self.clock, endpoint.0, node.id().0));
-        let telemetry = self.telemetry.lease(endpoint.0, node.id().0);
+        let telemetry = self.telemetry.lease(endpoint.0, node.id().0, lane);
         Ok(QueuePair::new(node, endpoint, injector, latency, telemetry, chaos, flight, self.clock))
     }
 
@@ -215,13 +228,9 @@ impl Fabric {
         let width = width.max(1);
         self.stripes_created.fetch_add(1, Ordering::AcqRel);
         let mut lanes = Vec::with_capacity(width as usize);
-        for _ in 0..width {
-            lanes.push(self.qp_with_latency(
-                endpoint,
-                node,
-                Arc::clone(&injector),
-                self.latency,
-            )?);
+        for lane in 0..width {
+            let injector = Arc::clone(&injector);
+            lanes.push(self.connect(endpoint, node, injector, self.latency, Some(lane))?);
         }
         Ok(QpStripe::new(lanes))
     }
@@ -236,7 +245,7 @@ impl Fabric {
         injector: Arc<FaultInjector>,
     ) -> RdmaResult<QueuePair> {
         let node = Arc::clone(self.node(node)?);
-        let telemetry = self.telemetry.lease(endpoint.0, node.id().0);
+        let telemetry = self.telemetry.lease(endpoint.0, node.id().0, None);
         Ok(QueuePair::new(
             node,
             endpoint,
@@ -259,6 +268,14 @@ impl Fabric {
     /// Per-node verb counters for the whole fabric, in node-id order.
     pub fn per_node_counters(&self) -> Vec<(NodeId, OpCountersSnapshot)> {
         self.nodes.iter().map(|n| n.id()).zip(self.telemetry.totals().nodes).collect()
+    }
+
+    /// Per-lane verb counters of every striped link ([`Fabric::qp_stripe`])
+    /// that ever targeted a node, live or torn down, in node-id then lane
+    /// order; nodes no stripe targets are left out.
+    pub fn stripe_counters(&self) -> Vec<(NodeId, Vec<OpCountersSnapshot>)> {
+        let lanes = self.telemetry.totals().stripes;
+        self.node_ids().zip(lanes).filter(|(_, l)| !l.is_empty()).collect()
     }
 
     /// Fabric-wide verb counters: the sum over all memory nodes.

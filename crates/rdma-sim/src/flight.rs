@@ -68,6 +68,9 @@ pub enum VerbKind {
 }
 
 impl VerbKind {
+    pub const ALL: [VerbKind; 5] =
+        [VerbKind::Read, VerbKind::Write, VerbKind::Cas, VerbKind::Faa, VerbKind::Flush];
+
     pub const fn name(self) -> &'static str {
         match self {
             VerbKind::Read => "READ",

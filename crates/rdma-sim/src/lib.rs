@@ -58,7 +58,7 @@ mod rpc;
 mod stripe;
 
 pub use chaos::{ChaosConfig, ChaosModel, ChaosStatsSnapshot, ChaosVerdict};
-pub use cq::{Completion, VerbKindLatency, VerbLatencySnapshot, WorkId};
+pub use cq::{log2_bucket, Completion, LatencySummary, VerbLatencySnapshot, WorkId};
 pub use error::{RdmaError, RdmaResult, TimeoutApplied};
 pub use fabric::{EndpointId, Fabric, FabricConfig, NodeId};
 pub use fault::{CrashMode, CrashPlan, FaultInjector, TEAR_MIDPOINT};

@@ -186,6 +186,21 @@ mod tests {
         assert_eq!(per_lane.len(), 3);
         assert_eq!(per_lane[0].writes, 1);
         assert_eq!(per_lane[2].reads, 1);
+        // The fabric reports the same lanes while the stripe lives, adds a
+        // second stripe's lane-wise, keeps both once they are gone, and
+        // leaves an unstriped link out.
+        assert_eq!(f.stripe_counters(), vec![(NodeId(0), per_lane.clone())]);
+        let other = f.qp_stripe(f.register_endpoint(), NodeId(0), FaultInjector::new(), 2).unwrap();
+        other.lane(1).write_u64(16, 3).unwrap();
+        f.qp(f.register_endpoint(), NodeId(0), FaultInjector::new())
+            .unwrap()
+            .read_u64(0)
+            .unwrap();
+        drop((s, other));
+        let lanes = &f.stripe_counters()[0].1;
+        assert_eq!(lanes.len(), 3);
+        assert_eq!((lanes[0].writes, lanes[1].writes, lanes[2].reads), (1, 2, 1));
+        assert_eq!(lanes.iter().map(|l| l.total_ops()).sum::<u64>(), 4);
     }
 
     #[test]

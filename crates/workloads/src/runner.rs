@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use pandora::{
     CoordStats, Coordinator, CoordinatorLease, LatencyHistogram, MetricsRegistry, PhaseStats,
-    SchedStats, SimCluster, StripeStore, ThroughputProbe, TxnError, TxnRequest,
+    SchedStats, SimCluster, ThroughputProbe, TxnError, TxnRequest,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,6 @@ pub struct WorkloadRunner<W: Workload> {
     slots: Vec<WorkerSlot>,
     next_seed: u64,
     sched: Arc<SchedStats>,
-    stripes: StripeStore,
 }
 
 impl<W: Workload> WorkloadRunner<W> {
@@ -86,7 +85,6 @@ impl<W: Workload> WorkloadRunner<W> {
             slots: Vec::with_capacity(config.coordinators),
             next_seed: config.seed,
             sched: SchedStats::new(),
-            stripes: StripeStore::default(),
         };
         for _ in 0..config.coordinators {
             runner.spawn_worker(Vec::new());
@@ -111,7 +109,6 @@ impl<W: Workload> WorkloadRunner<W> {
         let workload = Arc::clone(&self.workload);
         let stop = Arc::clone(&self.stop);
         let latency = Arc::clone(&self.latency);
-        let stripes = Arc::clone(&self.stripes);
         // Interleaved mode: submit declared-request batches through the
         // scheduler, keeping `inflight_txns` commits in flight per
         // worker. A batch of a few pipelines' worth keeps admission from
@@ -193,7 +190,6 @@ impl<W: Workload> WorkloadRunner<W> {
                         Err(TxnError::Rdma(_)) => break,
                     }
                 }
-                pandora::merge_stripe_counters(&stripes, &co.stripe_counters());
                 WorkerExit { stats: co.stats, addr_cache: co.export_addr_cache() }
             })
             .expect("spawn worker thread");
@@ -217,10 +213,11 @@ impl<W: Workload> WorkloadRunner<W> {
 
     /// A metrics registry wired to everything this runner observes:
     /// throughput probe, per-phase stats, end-to-end latency histogram,
-    /// the cluster's fabric counters, resilience counters, and (when the
-    /// cluster has one) chaos-injection counters. Snapshot it any time — also
-    /// after `stop_and_join`, since the shared atomics outlive the
-    /// workers.
+    /// the cluster's fabric counters (per node and per stripe lane),
+    /// resilience counters, and (when the cluster has one)
+    /// chaos-injection counters. Snapshot it any time — while the workers
+    /// run, and after `stop_and_join`, since the shared atomics and the
+    /// fabric's retired totals outlive them.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new()
             .with_probe(Arc::clone(&self.probe))
@@ -231,10 +228,7 @@ impl<W: Workload> WorkloadRunner<W> {
         if let Some(chaos) = &self.cluster.chaos {
             registry = registry.with_chaos(Arc::clone(chaos));
         }
-        registry = registry
-            .with_sched(Arc::clone(&self.sched))
-            .with_stripe_store(Arc::clone(&self.stripes));
-        registry
+        registry.with_sched(Arc::clone(&self.sched))
     }
 
     /// Interleaved-scheduler gauges shared by all workers (the
@@ -244,13 +238,14 @@ impl<W: Workload> WorkloadRunner<W> {
         Arc::clone(&self.sched)
     }
 
-    /// Start a timeline sampler wired to this runner's probe and the
-    /// cluster's in-flight-recoveries gauge. Feed its `finish()` output
-    /// to [`MetricsRegistry::add_timeline`] so the metrics JSON carries
+    /// Start the background sampler, wired to this runner's probe and
+    /// the cluster's in-flight-recoveries gauge. Its `finish()` output
+    /// feeds [`pandora::mean_tps`] and
+    /// [`MetricsRegistry::add_timeline`], so the metrics JSON carries
     /// the fail-over availability curve.
     pub fn timeline_sampler(&self, interval: Duration) -> pandora::TimelineSampler {
         let ctx = Arc::clone(&self.cluster.ctx);
-        pandora::TimelineSampler::start(
+        pandora::TimelineSampler::spawn(
             Arc::clone(&self.probe),
             move || ctx.recoveries_in_flight.load(Ordering::Acquire),
             interval,

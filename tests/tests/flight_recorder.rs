@@ -3,7 +3,7 @@
 //! spans from at least two coordinator tracks plus the chaos track, and
 //! (b) a non-empty metrics timeline spanning the recovery window. Also
 //! the zero-cost-off guarantee: a disabled recorder is byte-invisible
-//! on the wire (mirrors `disabled_chaos_is_invisible`).
+//! on the wire (mirrors `disabled_chaos_is_invisible`) and on disk.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -161,7 +161,8 @@ fn trace_covers_coordinators_chaos_track_and_recovery_timeline() {
 
 /// Zero-cost-off: a cluster with a recorder installed but *disabled* is
 /// byte-identical on the wire to one with no recorder at all — same
-/// fabric verb counters, same final state.
+/// fabric verb counters, same final state — and its auto-dump sites (here
+/// the recovery trigger) write no file.
 #[test]
 fn disabled_flight_recorder_is_invisible() {
     let run = |cluster: Arc<SimCluster>| {
@@ -178,19 +179,27 @@ fn disabled_flight_recorder_is_invisible() {
             })
             .unwrap();
         }
-        cluster.fd.deregister(lease.coord_id);
+        // Retire the coordinator through a recovery: the trigger is an
+        // auto-dump site.
+        co.injector().crash_now();
         co.gate().mark_dead();
+        assert!(cluster.fd.declare_failed(lease.coord_id).expect("recovery ran").completed);
         let finals: Vec<i64> =
             (0..N_KEYS).map(|k| balance(&cluster.peek(TABLE, k).unwrap())).collect();
         (cluster.ctx.fabric.total_counters(), finals)
     };
 
     let plain = run(cluster_with_flight(None));
+    let dumps = std::env::temp_dir().join(format!("pandora-flight-off-{}", std::process::id()));
     let disarmed = {
         let cluster = cluster_with_flight(Some(4096));
-        cluster.flight.as_ref().unwrap().set_enabled(false);
+        let rec = cluster.flight.as_ref().unwrap();
+        rec.set_enabled(false);
+        rec.set_dump_dir(&dumps);
         run(cluster)
     };
     assert_eq!(plain.0, disarmed.0, "verb counts diverge with a disabled recorder installed");
     assert_eq!(plain.1, disarmed.1, "final state diverges with a disabled recorder installed");
+    // A dump would have created the directory.
+    assert!(!dumps.exists(), "a disabled recorder dumped into {}", dumps.display());
 }

@@ -625,9 +625,11 @@ fn ambiguous_timeouts_of_posted_restore_and_unlock_verbs_converge() {
         // copy's region READ.
         let spans = flight.snapshot();
         let failed = |name: &str, bytes: u64| {
-            spans
-                .iter()
-                .any(|s| s.start_ns >= t_chaos && !s.ok && s.name == name && s.detail == bytes)
+            spans.iter().any(|s| {
+                let moved =
+                    matches!(s.payload, pandora::Payload::Verb { bytes: b, .. } if b == bytes);
+                s.start_ns >= t_chaos && !s.ok && s.name == name && moved
+            })
         };
         hit_restore_and_unlock |= failed("WRITE", 16) && failed("CAS", 8);
         hit_region_read |= failed("READ", dkvs::LOG_REGION_BYTES);
