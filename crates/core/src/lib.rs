@@ -82,4 +82,4 @@ pub use recovery::{RecoveryCoordinator, RecoveryCrashPlan, RecoveryReport, Recov
 pub use retry::{ResilienceSnapshot, ResilienceStats, RetryPolicy};
 pub use sched::{SchedSnapshot, SchedStats, TxnOp, TxnOutcome, TxnRequest, UpdateFn};
 pub use sim::{SimCluster, SimClusterBuilder};
-pub use txn::{AbortReason, Txn, TxnError};
+pub use txn::{AbortReason, Access, Txn, TxnError};

@@ -342,14 +342,14 @@ impl Coordinator {
     }
 
     /// Run one request as a [`crate::txn::Txn`] (the fallback for
-    /// unsupported configurations and oversized transactions).
+    /// unsupported configurations and oversized transactions): the same
+    /// declared list through the same execute phase, blocking.
     fn run_classic(&mut self, req: &TxnRequest) -> Result<TxnOutcome, TxnError> {
-        let mut reads = Vec::new();
+        let ops: Vec<Op<'_>> = req.ops.iter().map(TxnOp::as_op).collect();
         let mut txn = self.begin();
-        for op in &req.ops {
-            txn.apply(op, &mut reads)?;
-        }
+        let values = txn.execute(&ops)?;
         txn.commit()?;
+        let reads = ops.iter().zip(values).filter(|(op, _)| op.is_read()).map(|(_, v)| v).collect();
         Ok(TxnOutcome { reads })
     }
 

@@ -2,10 +2,16 @@
 //! transaction machine (paper §2.3 for FORD, §3.1.5 for Pandora's phase
 //! summary).
 //!
-//! * **Execution** — every operation is one row of the execute phase of
-//!   [`crate::exec`]: post its verbs (a full-slot READ; a lock CAS with
-//!   the under-lock READ behind it on the same lane), wait for them,
-//!   settle it down the resolve / lock / steal / stage ladder.
+//! * **Execution** — every call is a list of rows of the execute phase
+//!   of [`crate::exec`], driven the way a scheduler slot drives its
+//!   declared list: post every row's verbs (a full-slot READ; a lock CAS
+//!   with the under-lock READ behind it on the same lane), take **one**
+//!   completion barrier, sweep every landed lock into `held`, settle the
+//!   rows in order down the resolve / lock / steal / stage ladder.
+//!   [`Txn::read`], [`Txn::write`] and friends are lists of one;
+//!   [`Txn::fetch`] takes the read set and the read-write set together
+//!   (FORD's execution phase, paper §2.3), so a transaction whose keys
+//!   are known up front executes in one round trip.
 //! * **Validate → log → apply → ack → unlock, and abort** — the
 //!   pipeline of [`crate::commit`]. [`Txn::commit`] drives it to
 //!   completion with one completion barrier per phase; [`Txn::abort`],
@@ -28,7 +34,6 @@ use crate::coordinator::Coordinator;
 use crate::exec::{self, Exec, Op, OpKind};
 use crate::flight::TxnEvent;
 use crate::obs::TxnPhase;
-use crate::sched::TxnOp;
 
 /// Why a transaction aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +136,22 @@ impl std::fmt::Display for TxnError {
 
 impl std::error::Error for TxnError {}
 
+/// How one row of a [`Txn::fetch`] takes its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Optimistic read: joins the read set, validated at commit.
+    Read,
+    /// Lock the key and read it under the lock: joins the write set
+    /// (post-image = pre-image until a later [`Txn::write`] or
+    /// [`Txn::delete`] edits it). An absent key aborts `NotFound`.
+    ForUpdate,
+}
+
+/// The update a [`Access::ForUpdate`] row stages: none yet.
+fn keep(old: &[u8]) -> Vec<u8> {
+    old.to_vec()
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WriteKind {
     Update,
@@ -197,6 +218,15 @@ impl<'c> Txn<'c> {
         self.run(Op { table, key, kind: OpKind::Read })
     }
 
+    /// Lock `key` and read it under the lock — a [`Txn::fetch`] of one
+    /// [`Access::ForUpdate`] row. One round trip on a cached key where
+    /// `read` then `write` take two; a live lock aborts `LockConflict`
+    /// at once where `read` would wait out `read_lock_retries`.
+    pub fn read_for_update(&mut self, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+        let row = self.fetch(&[(table, key, Access::ForUpdate)])?.pop().flatten();
+        Ok(row.expect("a ForUpdate row settles to a value or aborts"))
+    }
+
     /// Transactional update of an existing key.
     pub fn write(&mut self, table: TableId, key: u64, value: &[u8]) -> Result<(), TxnError> {
         self.run(Op { table, key, kind: OpKind::Write(value) }).map(drop)
@@ -212,68 +242,80 @@ impl<'c> Txn<'c> {
         self.run(Op { table, key, kind: OpKind::Delete }).map(drop)
     }
 
+    /// Read the `Read` rows and lock-read the `ForUpdate` rows in one
+    /// round trip (FORD's execution phase, paper §2.3): every
+    /// address-cached row's verbs post up front, as far as the lanes'
+    /// windows reach, and are collected at one barrier; the other rows —
+    /// cold keys, and every `ForUpdate` row where a step runs between
+    /// resolve and lock (Traditional's lock intents, the bug
+    /// reproductions, `stall_on_conflict`) — go down the ladder one at a
+    /// time as the list settles in order. Returns one value per row
+    /// (`None` = a `Read` of an absent key). Locking is no-wait: one live
+    /// conflict aborts the transaction, the other rows' locks released.
+    pub fn fetch(
+        &mut self,
+        rows: &[(TableId, u64, Access)],
+    ) -> Result<Vec<Option<Vec<u8>>>, TxnError> {
+        let ops: Vec<Op<'_>> = rows
+            .iter()
+            .map(|&(table, key, access)| {
+                let kind = match access {
+                    Access::Read => OpKind::Read,
+                    Access::ForUpdate => OpKind::Update(&keep),
+                };
+                Op { table, key, kind }
+            })
+            .collect();
+        let mut values = self.execute(&ops)?;
+        for (v, &(table, key, access)) in values.iter_mut().zip(rows) {
+            if access == Access::ForUpdate {
+                // The entry the row staged (or a repeat restaged).
+                let len = self.co.map().layout(table).value_len;
+                let w = self.c.write_set.iter().find(|w| w.table == table && w.key == key);
+                *v = w.map(|w| w.new_value[..len].to_vec());
+            }
+        }
+        Ok(values)
+    }
+
     /// Client-side range read over a dense key range (the DKVS hash index
     /// has no order; ReadRange is provided as an API convenience for
-    /// workloads with dense key spaces — see DESIGN.md). Every
-    /// address-cached key's full-slot READ posts up front, as far as the
-    /// lanes' windows reach, and is collected at one barrier; the other
-    /// keys resolve one at a time as the range settles in key order.
+    /// workloads with dense key spaces — see DESIGN.md): a
+    /// [`Txn::fetch`] of one `Read` row per key.
     pub fn read_range(
         &mut self,
         table: TableId,
         keys: std::ops::Range<u64>,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        let read = |key| Op { table, key, kind: OpKind::Read };
-        let r = paused(self.co).and_then(|()| {
-            self.x.begin(keys.clone().count());
-            for key in keys.clone() {
-                self.x.post(self.co, &self.c, read(key));
-            }
-            self.x.wait(self.co);
-            let mut out = Vec::new();
-            for (i, key) in keys.enumerate() {
-                paused(self.co)?;
-                if let Some(v) = self.x.settle(self.co, &mut self.c, i, read(key))? {
-                    out.push((key, v));
-                }
-            }
-            Ok(out)
-        });
-        r.map_err(|e| self.fail(e))
+        let rows: Vec<_> = keys.clone().map(|key| (table, key, Access::Read)).collect();
+        let values = self.fetch(&rows)?;
+        Ok(keys.zip(values).filter_map(|(key, v)| Some((key, v?))).collect())
     }
 
-    /// One declared operation of a request, for the scheduler's
-    /// one-at-a-time path. An `Update` is the interactive
-    /// read-then-write it abbreviates.
-    pub(crate) fn apply(
-        &mut self,
-        op: &TxnOp,
-        reads: &mut Vec<Option<Vec<u8>>>,
-    ) -> Result<(), TxnError> {
-        match op {
-            TxnOp::Read { table, key } => reads.push(self.read(*table, *key)?),
-            TxnOp::Write { table, key, value } => self.write(*table, *key, value)?,
-            TxnOp::Update { table, key, f } => {
-                let Some(cur) = self.read(*table, *key)? else {
-                    return Err(self.fail(TxnError::Aborted(AbortReason::NotFound)));
-                };
-                self.write(*table, *key, &f(&cur))?;
-            }
-            TxnOp::Insert { table, key, value } => self.insert(*table, *key, value)?,
-            TxnOp::Delete { table, key } => self.delete(*table, *key)?,
-        }
-        Ok(())
-    }
-
-    /// One operation through the execute phase: post, wait for its own
-    /// verbs, sweep the lock outcome into `held`, settle.
+    /// One operation: a list of one.
     fn run(&mut self, op: Op<'_>) -> Result<Option<Vec<u8>>, TxnError> {
+        self.execute(&[op]).map(|mut v| v.pop().flatten())
+    }
+
+    /// A list of operations through the execute phase — the blocking
+    /// twin of a scheduler slot's admission and `process_execute`: post
+    /// every row, wait for all their verbs at one barrier, sweep the lock
+    /// outcomes into `held` before anything may abort, settle in list
+    /// order. Returns each row's `settle` value.
+    pub(crate) fn execute(&mut self, ops: &[Op<'_>]) -> Result<Vec<Option<Vec<u8>>>, TxnError> {
         let r = paused(self.co).and_then(|()| {
-            self.x.begin(1);
-            self.x.post(self.co, &self.c, op);
+            self.x.begin(ops.len());
+            for &op in ops {
+                self.x.post(self.co, &self.c, op);
+            }
             self.x.wait(self.co);
             self.x.sweep(self.co, &mut self.c)?;
-            self.x.settle(self.co, &mut self.c, 0, op)
+            let mut out = Vec::with_capacity(ops.len());
+            for (i, &op) in ops.iter().enumerate() {
+                paused(self.co)?; // a cold row's ladder is round trips long
+                out.push(self.x.settle(self.co, &mut self.c, i, op)?);
+            }
+            Ok(out)
         });
         r.map_err(|e| self.fail(e))
     }

@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use common::{cluster_with_keys, generation_of, value_for, ALL_PROTOCOLS, KV};
 use pandora::{
-    AbortReason, Payload, PhaseStats, ProtocolKind, RetryPolicy, SystemConfig, TxnError, TxnEvent,
+    AbortReason, Access, Payload, PhaseStats, ProtocolKind, RetryPolicy, SimCluster, SystemConfig,
+    TxnError, TxnEvent, TxnRequest,
 };
 use rdma_sim::{ChaosConfig, CrashMode, CrashPlan};
 
@@ -386,6 +387,161 @@ fn tombstone_blocks_update() {
     let mut txn = co.begin();
     let err = txn.write(KV, 5, &value_for(5, 1)).unwrap_err();
     assert_eq!(err, TxnError::Aborted(AbortReason::NotFound));
+}
+
+// ---------------------------------------------------------------------
+// `fetch`: the read set and the read-write set in one round trip
+// ---------------------------------------------------------------------
+
+/// Keys of `0..n` whose primary replica still carries a lock word.
+fn locked_keys(cluster: &SimCluster, n: u64) -> Vec<u64> {
+    let locked = |&k: &u64| {
+        let (lock, _, _) = cluster.raw_slot(KV, k, cluster.replica_nodes(KV, k)[0]).unwrap();
+        lock.is_locked()
+    };
+    (0..n).filter(locked).collect()
+}
+
+#[test]
+fn read_for_update_of_an_absent_or_tombstoned_key_aborts_not_found() {
+    for protocol in ALL_PROTOCOLS {
+        let cluster = cluster_with_keys(protocol, 10);
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        co.run(|txn| txn.delete(KV, 5)).unwrap();
+        // Never existed (cold: the miss shows at resolve); tombstoned
+        // (warm: the miss shows only in the under-lock image, with the
+        // lock held — the abort path hands it back).
+        for key in [99_999, 5] {
+            let mut txn = co.begin();
+            txn.read_for_update(KV, 2).unwrap();
+            let err = txn.read_for_update(KV, key).unwrap_err();
+            assert_eq!(err, TxnError::Aborted(AbortReason::NotFound), "{protocol:?} key {key}");
+            assert_eq!(txn.commit().unwrap_err(), TxnError::Aborted(AbortReason::UserAbort));
+            assert!(locked_keys(&cluster, 10).is_empty(), "{protocol:?} key {key}");
+        }
+    }
+}
+
+#[test]
+fn a_for_update_key_never_written_commits_its_value_at_the_next_version() {
+    for protocol in ALL_PROTOCOLS {
+        let cluster = cluster_with_keys(protocol, 10);
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        let primary = cluster.replica_nodes(KV, 3)[0];
+        let (_, before, _) = cluster.raw_slot(KV, 3, primary).unwrap();
+        let (v, _) = co.run(|txn| txn.read_for_update(KV, 3)).unwrap();
+        assert_eq!(v, value_for(3, 0), "{protocol:?}");
+        for node in cluster.replica_nodes(KV, 3) {
+            let (lock, version, value) = cluster.raw_slot(KV, 3, node).unwrap();
+            assert!(!lock.is_locked(), "{protocol:?}");
+            assert_eq!(version, before.next_write(), "{protocol:?} at {node:?}");
+            assert_eq!(value[..16], value_for(3, 0)[..], "{protocol:?} at {node:?}");
+        }
+    }
+}
+
+#[test]
+fn one_conflict_inside_a_fetch_releases_the_other_locks_and_names_the_owner() {
+    for protocol in ALL_PROTOCOLS {
+        let cluster = cluster_with_keys(protocol, 10);
+        let (mut rival, rival_lease) = cluster.coordinator().unwrap();
+        let (co, _lease) = cluster.coordinator().unwrap();
+        let recorder = pandora::FlightRecorder::new(cluster.ctx.fabric.clock(), 0, 64);
+        let mut co = co.with_flight(&recorder);
+        // Warm: all four locks post before any outcome is known.
+        co.run(|txn| txn.read_range(KV, 0..10).map(drop)).unwrap();
+        let mut theirs = rival.begin();
+        theirs.write(KV, 6, &value_for(6, 1)).unwrap();
+
+        let mut txn = co.begin();
+        let rows = [4, 5, 6, 7].map(|k| (KV, k, Access::ForUpdate));
+        let err = txn.fetch(&rows).unwrap_err();
+        assert_eq!(err, TxnError::Aborted(AbortReason::LockConflict), "{protocol:?}");
+        drop(txn);
+        // The sweep put every landed lock in `held` before the abort.
+        assert_eq!(locked_keys(&cluster, 10), [6], "{protocol:?}: only the rival's lock remains");
+        let owner = if protocol == ProtocolKind::Pandora { rival_lease.coord_id } else { 0 };
+        let conflict = Payload::Txn(TxnEvent::LockConflict { table: KV, key: 6, owner });
+        let named = recorder.snapshot().iter().filter(|r| r.payload == conflict).count();
+        assert_eq!(named, 1, "{protocol:?}:\n{}", recorder.dump_text());
+
+        theirs.commit().unwrap();
+        co.run(|txn| txn.fetch(&rows).map(drop)).unwrap();
+        assert!(locked_keys(&cluster, 10).is_empty(), "{protocol:?}");
+    }
+}
+
+#[test]
+fn repeated_keys_in_a_fetch_settle_like_a_declared_list() {
+    let build = |config: SystemConfig| {
+        let cluster = SimCluster::builder(ProtocolKind::Pandora)
+            .memory_nodes(3)
+            .replication(2)
+            .capacity_per_node(64 << 20)
+            .table(dkvs::TableDef::sized_for(0, "kv", common::VALUE_LEN, 128))
+            .max_coord_slots(64)
+            .config(config)
+            .build()
+            .unwrap();
+        cluster.bulk_load(KV, (0..10).map(|k| (k, value_for(k, 0)))).unwrap();
+        cluster
+    };
+    let slot_of_key_1 = |cluster: &SimCluster| {
+        let (lock, version, value) =
+            cluster.raw_slot(KV, 1, cluster.replica_nodes(KV, 1)[0]).unwrap();
+        assert!(!lock.is_locked());
+        (version, value)
+    };
+    for warm in [false, true] {
+        let warm_up = |co: &mut pandora::Coordinator| {
+            if warm {
+                co.run(|txn| txn.read_range(KV, 0..10).map(drop)).unwrap();
+            }
+        };
+        // `Read` then `ForUpdate` of key 1, then key 1 again both ways:
+        // the read sees the committed value, the lock-read stages it, the
+        // repeats are served from the staged entry.
+        let cluster = build(SystemConfig::new(ProtocolKind::Pandora));
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        warm_up(&mut co);
+        let rows = [
+            (KV, 1, Access::Read),
+            (KV, 1, Access::ForUpdate),
+            (KV, 2, Access::Read),
+            (KV, 1, Access::ForUpdate),
+            (KV, 1, Access::Read),
+        ];
+        let mut txn = co.begin();
+        let values = txn.fetch(&rows).unwrap();
+        assert_eq!(values, [1, 1, 2, 1, 1].map(|k| Some(value_for(k, 0))), "warm={warm}");
+        txn.write(KV, 1, &value_for(1, 1)).unwrap();
+        assert_eq!(txn.read_for_update(KV, 1).unwrap(), value_for(1, 1), "own write");
+        txn.commit().unwrap();
+
+        // The scheduler's declared list over the same rows.
+        let slots = build(SystemConfig::new(ProtocolKind::Pandora).with_inflight_txns(2));
+        let (mut co, _lease) = slots.coordinator().unwrap();
+        warm_up(&mut co);
+        let keep = |old: &[u8]| old.to_vec();
+        let req = TxnRequest::new()
+            .read(KV, 1)
+            .update(KV, 1, keep)
+            .read(KV, 2)
+            .update(KV, 1, keep)
+            .read(KV, 1)
+            .write(KV, 1, value_for(1, 1));
+        let (outcomes, aborts) = co.run_interleaved_retrying(&[req]).unwrap();
+        assert_eq!(aborts, 0);
+        let read_rows: Vec<_> = values
+            .iter()
+            .zip(&rows)
+            .filter(|(_, row)| row.2 == Access::Read)
+            .map(|(v, _)| v.clone())
+            .collect();
+        assert_eq!(outcomes[0].reads, read_rows, "warm={warm}");
+        assert_eq!(slot_of_key_1(&cluster), slot_of_key_1(&slots), "warm={warm}");
+        assert_eq!(cluster.peek(KV, 1), Some(value_for(1, 1)), "warm={warm}");
+    }
 }
 
 // ---------------------------------------------------------------------

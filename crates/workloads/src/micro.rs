@@ -3,7 +3,7 @@
 //! experiments with 1 000 and 100 000 hot keys).
 
 use dkvs::{TableDef, TableId};
-use pandora::{Coordinator, SimCluster, TxnError};
+use pandora::{Access, Coordinator, SimCluster, TxnError};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -106,21 +106,26 @@ impl Workload for MicroBench {
         // unordered acquisition deadlocks (t1 holds A wants B, t2 holds
         // B wants A, both waiting).
         keys.sort_unstable();
-        let writes: Vec<bool> = keys.iter().map(|_| rng.random_bool(self.write_ratio)).collect();
+        // The keys are known before the first verb: one `fetch` reads
+        // the read-only ones and lock-reads the rest in one round trip.
+        let rows: Vec<_> = keys
+            .iter()
+            .map(|&k| {
+                let write = rng.random_bool(self.write_ratio);
+                (MICRO_TABLE, k, if write { Access::ForUpdate } else { Access::Read })
+            })
+            .collect();
         loop {
             let mut txn = co.begin();
-            let body = (|| {
-                for (&k, &w) in keys.iter().zip(&writes) {
-                    if w {
-                        let v = txn.read(MICRO_TABLE, k)?.expect("loaded key");
-                        let counter = decode_field(&v);
+            let body = txn.fetch(&rows).and_then(|values| {
+                for (&(_, k, access), v) in rows.iter().zip(values) {
+                    let counter = decode_field(&v.expect("loaded key"));
+                    if access == Access::ForUpdate {
                         txn.write(MICRO_TABLE, k, &encode_value(MICRO_VALUE_LEN, counter + 1))?;
-                    } else {
-                        txn.read(MICRO_TABLE, k)?.expect("loaded key");
                     }
                 }
                 Ok(())
-            })();
+            });
             match body.and_then(|()| txn.commit()) {
                 Err(TxnError::Aborted(_)) if self.retry_until_commit => continue,
                 other => return other,

@@ -4,7 +4,7 @@
 //! SendPayment 25 %, TransactSavings 15 %, WriteCheck 15 %.
 
 use dkvs::{TableDef, TableId};
-use pandora::{Coordinator, SimCluster, Txn, TxnError};
+use pandora::{Access, Coordinator, SimCluster, Txn, TxnError};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -38,8 +38,14 @@ impl SmallBank {
         }
     }
 
-    fn balance_of(txn: &mut Txn<'_>, table: TableId, acct: u64) -> Result<u64, TxnError> {
-        Ok(txn.read(table, acct)?.map(|v| decode_field(&v)).unwrap_or(0))
+    /// The balances of `rows`, fetched in one round trip (`ForUpdate`
+    /// rows locked for the `set_balance` that follows).
+    fn balances<const N: usize>(
+        txn: &mut Txn<'_>,
+        rows: [(TableId, u64, Access); N],
+    ) -> Result<[u64; N], TxnError> {
+        let values = txn.fetch(&rows)?;
+        Ok(std::array::from_fn(|i| values[i].as_deref().map(decode_field).unwrap_or(0)))
     }
 
     fn set_balance(
@@ -76,6 +82,7 @@ impl Workload for SmallBank {
     }
 
     fn execute(&self, co: &mut Coordinator, rng: &mut StdRng) -> Result<(), TxnError> {
+        use Access::{ForUpdate, Read};
         let a = self.pick_account(rng);
         let mut b = self.pick_account(rng);
         if b == a {
@@ -86,40 +93,39 @@ impl Workload for SmallBank {
         match op {
             // Amalgamate (15%): move all of A's funds into B's checking.
             0..=14 => {
-                let sav = Self::balance_of(&mut txn, SAVINGS, a)?;
-                let chk = Self::balance_of(&mut txn, CHECKING, a)?;
-                let dst = Self::balance_of(&mut txn, CHECKING, b)?;
+                let rows =
+                    [(SAVINGS, a, ForUpdate), (CHECKING, a, ForUpdate), (CHECKING, b, ForUpdate)];
+                let [sav, chk, dst] = Self::balances(&mut txn, rows)?;
                 Self::set_balance(&mut txn, SAVINGS, a, 0)?;
                 Self::set_balance(&mut txn, CHECKING, a, 0)?;
                 Self::set_balance(&mut txn, CHECKING, b, dst + sav + chk)?;
             }
             // Balance (15%): read-only.
             15..=29 => {
-                Self::balance_of(&mut txn, SAVINGS, a)?;
-                Self::balance_of(&mut txn, CHECKING, a)?;
+                Self::balances(&mut txn, [(SAVINGS, a, Read), (CHECKING, a, Read)])?;
             }
             // DepositChecking (15%).
             30..=44 => {
-                let chk = Self::balance_of(&mut txn, CHECKING, a)?;
+                let [chk] = Self::balances(&mut txn, [(CHECKING, a, ForUpdate)])?;
                 Self::set_balance(&mut txn, CHECKING, a, chk + 130)?;
             }
             // SendPayment (25%): checking → checking.
             45..=69 => {
-                let src = Self::balance_of(&mut txn, CHECKING, a)?;
+                let rows = [(CHECKING, a, ForUpdate), (CHECKING, b, ForUpdate)];
+                let [src, dst] = Self::balances(&mut txn, rows)?;
                 let amount = 50.min(src);
-                let dst = Self::balance_of(&mut txn, CHECKING, b)?;
                 Self::set_balance(&mut txn, CHECKING, a, src - amount)?;
                 Self::set_balance(&mut txn, CHECKING, b, dst + amount)?;
             }
             // TransactSavings (15%).
             70..=84 => {
-                let sav = Self::balance_of(&mut txn, SAVINGS, a)?;
+                let [sav] = Self::balances(&mut txn, [(SAVINGS, a, ForUpdate)])?;
                 Self::set_balance(&mut txn, SAVINGS, a, sav + 20)?;
             }
             // WriteCheck (15%).
             _ => {
-                let sav = Self::balance_of(&mut txn, SAVINGS, a)?;
-                let chk = Self::balance_of(&mut txn, CHECKING, a)?;
+                let rows = [(SAVINGS, a, Read), (CHECKING, a, ForUpdate)];
+                let [sav, chk] = Self::balances(&mut txn, rows)?;
                 let amount = 25.min(sav + chk);
                 Self::set_balance(&mut txn, CHECKING, a, chk.saturating_sub(amount))?;
             }

@@ -156,9 +156,11 @@ impl Workload for Tatp {
             }
             // UpdateSubscriberData (2%): subscriber bit + sf data.
             80..=81 => {
-                let v = txn.read(SUBSCRIBER, sub)?.expect("subscriber");
+                let v = txn.read_for_update(SUBSCRIBER, sub)?;
                 txn.write(SUBSCRIBER, sub, &encode_value(TATP_VALUE_LEN, decode_field(&v) + 1))?;
                 let sf = Self::sf_key(sub, rng.random_range(0..2u64));
+                // Absence is an answer here, not a `NotFound` abort: the
+                // row stays read-then-write.
                 if let Some(v) = txn.read(SPECIAL_FACILITY, sf)? {
                     txn.write(
                         SPECIAL_FACILITY,
@@ -169,7 +171,7 @@ impl Workload for Tatp {
             }
             // UpdateLocation (14%).
             82..=95 => {
-                let v = txn.read(SUBSCRIBER, sub)?.expect("subscriber");
+                let v = txn.read_for_update(SUBSCRIBER, sub)?;
                 txn.write(SUBSCRIBER, sub, &encode_value(TATP_VALUE_LEN, decode_field(&v) + 1))?;
             }
             // InsertCallForwarding (2%).

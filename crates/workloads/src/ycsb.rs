@@ -87,8 +87,9 @@ impl Ycsb {
 
     fn op_rmw(&self, co: &mut Coordinator, key: u64) -> Result<(), TxnError> {
         let mut txn = co.begin();
-        let v = txn.read(YCSB_TABLE, key)?;
-        let counter = v.map(|b| decode_field(&b)).unwrap_or(0);
+        // An absent key (beyond the loaded range) aborts `NotFound`
+        // here, where read-then-write did at the write.
+        let counter = decode_field(&txn.read_for_update(YCSB_TABLE, key)?);
         txn.write(YCSB_TABLE, key, &encode_value(YCSB_VALUE_LEN, counter + 1))?;
         txn.commit()
     }

@@ -6,10 +6,12 @@
 //! (paper §1.1). This is the systematic version of the paper's random
 //! crash injection. A second sweep does the same to one transaction of
 //! every `WriteKind` (update + insert + delete): the first rows of the
-//! mutation × outcome matrix.
+//! mutation × outcome matrix. A third sweeps a three-key transfer whose
+//! execute phase is one `Txn::fetch` — warm, all three lock CASes are on
+//! the wire before any outcome is known.
 
 use dkvs::{TableDef, TableId};
-use pandora::{ProtocolKind, SimCluster, SystemConfig};
+use pandora::{Access, ProtocolKind, SimCluster, SystemConfig};
 use rdma_sim::{CrashMode, CrashPlan};
 
 const KV: TableId = TableId(0);
@@ -256,6 +258,81 @@ fn every_write_kind_survives_every_crash_point() {
         }
         assert!(fired_any, "{protocol:?}: the mixed sweep never crashed anything");
         assert!(!all_fired, "{protocol:?}: the mixed txn is longer than the sweep covers");
+    }
+}
+
+/// A transfer over three keys — lock-read all three in one `fetch`, take
+/// two from the first, give one to each of the others — crashed at verb
+/// `at_op` of the transaction. After recovery the three balances are
+/// all-old or all-new on every replica (so their sum is conserved), no
+/// live lock remains, and a fresh coordinator can run the transfer.
+fn transfer_sweep_once(protocol: ProtocolKind, warm: bool, at_op: u64, mode: CrashMode) -> bool {
+    const KEYS: [u64; 3] = [3, 7, 12];
+    let ctx =
+        format!("{protocol:?} {} transfer crash {mode:?}@{at_op}", ["cold", "warm"][warm as usize]);
+    let cluster = build(protocol);
+    let (mut funder, _lf) = cluster.coordinator().unwrap();
+    let (mut co, lease) = cluster.coordinator().unwrap();
+    // A cold coordinator resolves each key before it locks it; a warm
+    // one posts the three lock CAS + READ pairs together.
+    let fund = if warm { &mut co } else { &mut funder };
+    fund.run(|txn| KEYS.iter().try_for_each(|&k| txn.write(KV, k, &value(10))))
+        .unwrap();
+    let transfer = |txn: &mut pandora::Txn<'_>| {
+        let rows = KEYS.map(|k| (KV, k, Access::ForUpdate));
+        let held: Vec<u64> =
+            txn.fetch(&rows)?.iter().map(|v| gen_of(v.as_ref().unwrap())).collect();
+        txn.write(KV, KEYS[0], &value(held[0] - 2))?;
+        txn.write(KV, KEYS[1], &value(held[1] + 1))?;
+        txn.write(KV, KEYS[2], &value(held[2] + 1))
+    };
+    let injector = co.injector();
+    injector.arm(CrashPlan { at_op: injector.ops_issued() + at_op, mode });
+    let commit_result = {
+        let mut txn = co.begin();
+        transfer(&mut txn).and_then(|()| txn.commit())
+    };
+    let fired = injector.is_crashed();
+    if fired {
+        co.gate().mark_dead();
+        cluster.fd.declare_failed(lease.coord_id).expect("recovery runs");
+    }
+
+    let after = KEYS.map(|k| settled(&cluster, protocol, k, &ctx));
+    let (all_old, all_new) = ([Some(10); 3], [Some(8), Some(11), Some(11)]);
+    assert!(
+        after == all_old || after == all_new,
+        "{ctx}: not conserved: {after:?} (commit={commit_result:?})"
+    );
+    if commit_result.is_ok() {
+        assert_eq!(after, all_new, "{ctx}: acked commit lost");
+    }
+    if fired {
+        let (mut co2, _l2) = cluster.coordinator().unwrap();
+        co2.run(transfer)
+            .unwrap_or_else(|e| panic!("{ctx}: keys not usable after recovery: {e}"));
+        let total: u64 = KEYS.iter().map(|&k| settled(&cluster, protocol, k, &ctx).unwrap()).sum();
+        assert_eq!(total, 30, "{ctx}: the next transfer lost money");
+    }
+    fired
+}
+
+#[test]
+fn a_fetched_transfer_survives_every_crash_point() {
+    for protocol in [ProtocolKind::Pandora, ProtocolKind::Ford, ProtocolKind::Traditional] {
+        for warm in [false, true] {
+            let mut fired_any = false;
+            let mut all_fired = true;
+            for at_op in 1..=40u64 {
+                for mode in [CrashMode::BeforeOp, CrashMode::AfterOp, CrashMode::MidWrite] {
+                    let fired = transfer_sweep_once(protocol, warm, at_op, mode);
+                    fired_any |= fired;
+                    all_fired &= fired;
+                }
+            }
+            assert!(fired_any, "{protocol:?}: the transfer sweep never crashed anything");
+            assert!(!all_fired, "{protocol:?}: the transfer is longer than the sweep covers");
+        }
     }
 }
 

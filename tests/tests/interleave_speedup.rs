@@ -1,16 +1,21 @@
 //! The interleaved-scheduler acceptance gate and its correctness
 //! smoke tests: one logical coordinator keeping `inflight_txns`
 //! independent commits in flight over a striped fabric must beat the
-//! one-at-a-time classic engine by at least 2x committed throughput at
-//! a 2 µs modeled RTT (low contention, warm caches). The timing gate is
-//! release-only (debug builds measure the compiler, not the protocol);
-//! the semantic tests run everywhere.
+//! one-at-a-time classic engine by at least 1.5x committed throughput
+//! at a 2 µs modeled RTT (low contention, warm caches). The floor was 2x
+//! while the classic request path spent twelve barriers on a 4-update
+//! request; it posts the declared list whole now and spends five, so at
+//! this round trip it is half host CPU and the scheduler's lead over it
+//! is ~2.1x where it was ~4x — the scheduler's own rate did not move.
+//! The timing gate is release-only (debug builds measure the compiler,
+//! not the protocol); the semantic tests run everywhere.
 
 use std::time::{Duration, Instant};
 
 use dkvs::{TableDef, TableId};
 use pandora::{
-    AbortReason, Coordinator, ProtocolKind, SimCluster, SystemConfig, Txn, TxnError, TxnRequest,
+    AbortReason, Access, Coordinator, ProtocolKind, SimCluster, SystemConfig, Txn, TxnError,
+    TxnRequest,
 };
 use rdma_sim::LatencyModel;
 
@@ -25,6 +30,10 @@ fn value(n: u64) -> Vec<u8> {
 
 fn counter(v: &[u8]) -> u64 {
     u64::from_le_bytes(v[0..8].try_into().unwrap())
+}
+
+fn bump(old: &[u8]) -> Vec<u8> {
+    value(counter(old) + 1)
 }
 
 fn build(config: SystemConfig, rtt_us: u64) -> SimCluster {
@@ -47,7 +56,7 @@ fn build(config: SystemConfig, rtt_us: u64) -> SimCluster {
 fn increment_req(base: u64) -> TxnRequest {
     let mut req = TxnRequest::new();
     for k in base..base + 4 {
-        req = req.update(KV, k, |old| value(counter(old) + 1));
+        req = req.update(KV, k, bump);
     }
     req
 }
@@ -285,7 +294,7 @@ fn request_path_with_interleaving_off_matches_the_closure_path() {
 #[test]
 fn txn_and_scheduler_slot_issue_the_same_commit_verbs() {
     type Shape = (&'static str, fn(&mut Txn<'_>) -> Result<(), TxnError>, fn() -> TxnRequest);
-    let shapes: [Shape; 4] = [
+    let shapes: [Shape; 5] = [
         (
             "update",
             |txn| (0..4u64).try_for_each(|k| txn.write(KV, k, &value(2))),
@@ -309,6 +318,17 @@ fn txn_and_scheduler_slot_issue_the_same_commit_verbs() {
                 txn.read(KV, 21).map(|_| ())
             },
             || TxnRequest::new().read(KV, 20).write(KV, 20, value(2)).read(KV, 21),
+        ),
+        (
+            // The interactive spelling of `Update`: lock-read, compute,
+            // write. The write restages the locked entry at no verb.
+            "read-modify-write",
+            |txn| {
+                let rows = [0, 1, 2, 3].map(|k| (KV, k, Access::ForUpdate));
+                let old = txn.fetch(&rows)?;
+                (0..4u64).zip(old).try_for_each(|(k, v)| txn.write(KV, k, &bump(&v.unwrap())))
+            },
+            || (0..4u64).fold(TxnRequest::new(), |r, k| r.update(KV, k, bump)),
         ),
     ];
     // Warm = the address cache knows every loaded key the shapes touch.
@@ -388,7 +408,7 @@ fn commit_rate(config: SystemConfig) -> f64 {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate needs an optimized build")]
-fn interleaved_commit_rate_at_least_2x_classic_at_2us_rtt() {
+fn interleaved_commit_rate_at_least_1_5x_classic_at_2us_rtt() {
     let classic = commit_rate(SystemConfig::new(ProtocolKind::Pandora));
     let interleaved = commit_rate(
         SystemConfig::new(ProtocolKind::Pandora)
@@ -397,8 +417,8 @@ fn interleaved_commit_rate_at_least_2x_classic_at_2us_rtt() {
     );
     eprintln!("classic {classic:.0} txn/s, interleaved {interleaved:.0} txn/s");
     assert!(
-        interleaved >= classic * 2.0,
+        interleaved >= classic * 1.5,
         "interleaved scheduler hides too little phase latency: {interleaved:.0} txn/s vs classic \
-         {classic:.0} txn/s (< 2x)"
+         {classic:.0} txn/s (< 1.5x)"
     );
 }

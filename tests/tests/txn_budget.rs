@@ -1,0 +1,218 @@
+//! What a transaction whose keys are known up front costs, exactly.
+//!
+//! `Txn::fetch` posts the whole execute phase — a full-slot READ per
+//! read-only key, a lock CAS with the under-lock READ behind it per
+//! read-write key — and takes one completion barrier, so a warm
+//! transaction is five barriers: execute, log, apply primaries, apply
+//! backups, unlock (a write transaction's validate phase has nothing to
+//! read). Verb counts and barrier counts are deterministic for a given
+//! transaction; the counts are asserted on every run, the wall-clock half
+//! (barriers × a 1 ms modeled round trip) is given three tries, for a
+//! host that takes the core away mid-transaction. A cold key resolves
+//! first, so a cold transaction is the serial ladder — bucket READ, lock
+//! CAS, under-lock READ per key, in key order — verb for verb what
+//! read-then-write issued before `fetch` existed.
+
+use std::time::{Duration, Instant};
+
+use dkvs::{TableDef, TableId};
+use pandora::{Access, Coordinator, FlightTrack, Payload, ProtocolKind, SimCluster, SystemConfig};
+use pandora_workloads::micro::MICRO_TABLE;
+use pandora_workloads::smallbank::{CHECKING, SAVINGS};
+use pandora_workloads::{with_tables, MicroBench, SmallBank, Workload};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rdma_sim::{LatencyModel, NodeId};
+
+const RTT: Duration = Duration::from_millis(1);
+/// Execute, log, apply primaries, apply backups, unlock.
+const WARM_BARRIERS: u32 = 5;
+
+/// Three memory nodes, replication 2 (f+1 = 2 log copies), loaded.
+fn build(workload: &dyn Workload, rtt: Duration, flight: bool) -> SimCluster {
+    let mut b = with_tables(
+        SimCluster::builder(ProtocolKind::Pandora)
+            .memory_nodes(3)
+            .replication(2)
+            .capacity_per_node(16 << 20)
+            .max_coord_slots(16)
+            .latency(LatencyModel { rtt, ns_per_kib: 0 })
+            .config(SystemConfig::new(ProtocolKind::Pandora)),
+        workload,
+    );
+    if flight {
+        b = b.flight(4096);
+    }
+    let cluster = b.build().unwrap();
+    workload.load(&cluster);
+    cluster
+}
+
+/// Teach `co` the slot of every key in `keys` of `tables`.
+fn warm(co: &mut Coordinator, tables: &[TableId], keys: std::ops::Range<u64>) {
+    for &table in tables {
+        co.run(|txn| txn.read_range(table, keys.clone()).map(drop)).unwrap();
+    }
+}
+
+/// Fabric-wide (CAS, READ, WRITE) counts of `f`, and how long it took.
+fn counted(cluster: &SimCluster, f: impl FnOnce()) -> ((u64, u64, u64), Duration) {
+    let before = cluster.ctx.fabric.total_counters();
+    let t0 = Instant::now();
+    f();
+    let took = t0.elapsed();
+    let after = cluster.ctx.fabric.total_counters();
+    let delta = (after.cas - before.cas, after.reads - before.reads, after.writes - before.writes);
+    (delta, took)
+}
+
+/// `took` is `WARM_BARRIERS` round trips and change: never fewer (a
+/// barrier cannot beat the round trip), under six and a half on a quiet
+/// host.
+fn five_round_trips(took: Duration) -> bool {
+    assert!(took >= RTT * WARM_BARRIERS, "{took:?} beats {WARM_BARRIERS} round trips");
+    took < RTT * 13 / 2
+}
+
+#[test]
+fn a_warm_four_rmw_transaction_is_thirty_verbs_in_five_barriers() {
+    let bench = MicroBench::new(64, 1.0);
+    let cluster = build(&bench, RTT, false);
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    warm(&mut co, &[MICRO_TABLE], 0..64);
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut took = Vec::new();
+    for _ in 0..3 {
+        let (verbs, t) = counted(&cluster, || bench.execute(&mut co, &mut rng).unwrap());
+        // 4 lock CASes, 4 under-lock READs; 2 log copies, value and
+        // version on both replicas of 4 keys, 4 unlocks.
+        assert_eq!(verbs, (4, 4, 22), "CAS / READ / WRITE of a warm 4-RMW transaction");
+        took.push(t);
+        if five_round_trips(t) {
+            return;
+        }
+    }
+    panic!("a warm 4-RMW transaction took {took:?} at a {RTT:?} round trip");
+}
+
+#[test]
+fn a_warm_amalgamate_locks_and_reads_three_rows_in_one_round_trip() {
+    let bank = SmallBank::new(16);
+    let cluster = build(&bank, RTT, false);
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    warm(&mut co, &[SAVINGS, CHECKING], 0..16);
+    let emptied = |cluster: &SimCluster| {
+        (0..16).filter(|&a| cluster.peek(SAVINGS, a).unwrap()[..8] == [0u8; 8]).count()
+    };
+    let mut rng = StdRng::seed_from_u64(22);
+    let (mut seen, mut took) = (0, Vec::new());
+    // 15 % of the mix; only Amalgamate zeroes a savings balance.
+    for _ in 0..400 {
+        let before = emptied(&cluster);
+        let (verbs, t) = counted(&cluster, || bank.execute(&mut co, &mut rng).unwrap());
+        if emptied(&cluster) == before {
+            continue;
+        }
+        // 3 lock CASes, 3 under-lock READs; 2 log copies, 12 apply
+        // writes, 3 unlocks.
+        assert_eq!(verbs, (3, 3, 17), "CAS / READ / WRITE of a warm Amalgamate");
+        took.push(t);
+        seen += 1;
+        if five_round_trips(t) {
+            return;
+        }
+        if seen == 3 {
+            break;
+        }
+    }
+    panic!("{seen} Amalgamates took {took:?} at a {RTT:?} round trip");
+}
+
+/// The data-path verbs `endpoint` posted, in post order: name, memory
+/// node, bytes.
+fn verbs_of(cluster: &SimCluster, endpoint: u32) -> Vec<(&'static str, u16, u64)> {
+    let mut spans = cluster.ctx.flight().expect("recorder installed").snapshot();
+    spans.sort_by_key(|s| (s.start_ns, s.seq));
+    spans
+        .iter()
+        .filter_map(|s| match (s.track, s.payload) {
+            (FlightTrack::MemoryNode(n), Payload::Verb { bytes, endpoint: e }) if e == endpoint => {
+                Some((s.name, n, bytes))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_cold_micro_transaction_resolves_locks_and_reads_key_by_key() {
+    // Four hot keys, four distinct keys per transaction: keys 0..4.
+    let bench = MicroBench::new(64, 1.0).with_hot_keys(4);
+    let cluster = build(&bench, Duration::ZERO, true);
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    let mut rng = StdRng::seed_from_u64(23);
+    let (verbs, _) = counted(&cluster, || bench.execute(&mut co, &mut rng).unwrap());
+    assert_eq!(verbs, (4, 8, 22), "a cold key costs its bucket READ");
+
+    let def = &bench.tables()[0];
+    let (bucket, slot) = (def.bucket_bytes(), def.layout().slot_bytes());
+    let expected: Vec<_> = (0..4u64)
+        .flat_map(|k| {
+            let NodeId(primary) = cluster.replica_nodes(MICRO_TABLE, k)[0];
+            [("READ", primary, bucket), ("CAS", primary, 8), ("READ", primary, slot)]
+        })
+        .collect();
+    let posted = verbs_of(&cluster, co.endpoint().0);
+    assert_eq!(posted.len(), 12 + 22, "execute verbs, then the commit's writes");
+    assert_eq!(posted[..12], expected[..], "the execute phase of a cold transaction");
+    assert!(posted[12..].iter().all(|&(name, _, _)| name == "WRITE"));
+}
+
+#[test]
+fn a_fetch_longer_than_the_lane_window_still_commits() {
+    const KV: TableId = TableId(0);
+    let value = |x: u64| {
+        let mut v = vec![0u8; 16];
+        v[..8].copy_from_slice(&x.to_le_bytes());
+        v
+    };
+    let config = SystemConfig::new(ProtocolKind::Pandora);
+    assert_eq!((config.pipeline_depth, config.qp_stripes), (16, 1));
+    let cluster = SimCluster::builder(ProtocolKind::Pandora)
+        .memory_nodes(3)
+        .replication(2)
+        .capacity_per_node(16 << 20)
+        .table(TableDef::sized_for(0, "kv", 16, 256))
+        .max_coord_slots(16)
+        .config(config)
+        .build()
+        .unwrap();
+    cluster.bulk_load(KV, (0..128).map(|k| (k, value(k)))).unwrap();
+    // Eleven keys on one primary: their lock CAS + READ pairs route to
+    // one lane, whose window of 16 holds eight rows' worth.
+    let node = cluster.replica_nodes(KV, 0)[0];
+    let keys: Vec<u64> =
+        (0..128).filter(|&k| cluster.replica_nodes(KV, k)[0] == node).take(11).collect();
+    assert_eq!(keys.len(), 11, "128 keys over 3 nodes");
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    warm(&mut co, &[KV], 0..128);
+
+    let rows: Vec<_> = keys.iter().map(|&k| (KV, k, Access::ForUpdate)).collect();
+    let (verbs, _) = counted(&cluster, || {
+        let mut txn = co.begin();
+        let values = txn.fetch(&rows).unwrap();
+        for (&k, v) in keys.iter().zip(values) {
+            assert_eq!(v, Some(value(k)), "key {k} under its lock");
+            txn.write(KV, k, &value(k + 1000)).unwrap();
+        }
+        txn.commit().unwrap();
+    });
+    // The three overflow rows take the ladder — lock CAS and under-lock
+    // READ on the lane the barrier has emptied — at no extra verb.
+    assert_eq!((verbs.0, verbs.1), (11, 11), "one CAS and one READ per row");
+    for &k in &keys {
+        assert_eq!(cluster.peek(KV, k), Some(value(k + 1000)));
+        let (lock, _, _) = cluster.raw_slot(KV, k, node).unwrap();
+        assert!(!lock.is_locked(), "residual lock on key {k}");
+    }
+}
