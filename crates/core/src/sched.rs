@@ -347,9 +347,13 @@ impl Coordinator {
     fn run_classic(&mut self, req: &TxnRequest) -> Result<TxnOutcome, TxnError> {
         let ops: Vec<Op<'_>> = req.ops.iter().map(TxnOp::as_op).collect();
         let mut txn = self.begin();
-        let values = txn.execute(&ops)?;
+        let mut reads = Vec::with_capacity(ops.len());
+        txn.execute(&ops, |i, v| {
+            if ops[i].is_read() {
+                reads.push(v);
+            }
+        })?;
         txn.commit()?;
-        let reads = ops.iter().zip(values).filter(|(op, _)| op.is_read()).map(|(_, v)| v).collect();
         Ok(TxnOutcome { reads })
     }
 

@@ -266,7 +266,8 @@ impl<'c> Txn<'c> {
                 Op { table, key, kind }
             })
             .collect();
-        let mut values = self.execute(&ops)?;
+        let mut values = Vec::with_capacity(ops.len());
+        self.execute(&ops, |_, v| values.push(v))?;
         for (v, &(table, key, access)) in values.iter_mut().zip(rows) {
             if access == Access::ForUpdate {
                 // The entry the row staged (or a repeat restaged).
@@ -294,15 +295,21 @@ impl<'c> Txn<'c> {
 
     /// One operation: a list of one.
     fn run(&mut self, op: Op<'_>) -> Result<Option<Vec<u8>>, TxnError> {
-        self.execute(&[op]).map(|mut v| v.pop().flatten())
+        let mut value = None;
+        self.execute(&[op], |_, v| value = v)?;
+        Ok(value)
     }
 
     /// A list of operations through the execute phase — the blocking
     /// twin of a scheduler slot's admission and `process_execute`: post
     /// every row, wait for all their verbs at one barrier, sweep the lock
     /// outcomes into `held` before anything may abort, settle in list
-    /// order. Returns each row's `settle` value.
-    pub(crate) fn execute(&mut self, ops: &[Op<'_>]) -> Result<Vec<Option<Vec<u8>>>, TxnError> {
+    /// order, handing `row` each index and `settle` value.
+    pub(crate) fn execute(
+        &mut self,
+        ops: &[Op<'_>],
+        mut row: impl FnMut(usize, Option<Vec<u8>>),
+    ) -> Result<(), TxnError> {
         let r = paused(self.co).and_then(|()| {
             self.x.begin(ops.len());
             for &op in ops {
@@ -310,12 +317,15 @@ impl<'c> Txn<'c> {
             }
             self.x.wait(self.co);
             self.x.sweep(self.co, &mut self.c)?;
-            let mut out = Vec::with_capacity(ops.len());
             for (i, &op) in ops.iter().enumerate() {
-                paused(self.co)?; // a cold row's ladder is round trips long
-                out.push(self.x.settle(self.co, &mut self.c, i, op)?);
+                if i > 0 {
+                    // A cold row's ladder is round trips long. Not before
+                    // row 0: a list of one checks once, before its post.
+                    paused(self.co)?;
+                }
+                row(i, self.x.settle(self.co, &mut self.c, i, op)?);
             }
-            Ok(out)
+            Ok(())
         });
         r.map_err(|e| self.fail(e))
     }
