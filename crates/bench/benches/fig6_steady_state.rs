@@ -13,17 +13,19 @@ use std::time::Duration;
 use pandora::ProtocolKind;
 use pandora_bench::{
     cfg, micro_all_writes, micro_default, print_series, print_table, run_failover,
-    smallbank_default, tatp_default, tpcc_default, FailoverSpec, DEFAULT_COORDINATORS,
+    smallbank_default, tatp_default, tpcc_default, window_mean, FailoverSpec,
 };
 use pandora_workloads::Workload;
 
 fn main() {
     let duration = Duration::from_secs(6);
     let warmup = Duration::from_secs(1);
-    // RTT-dominated regime: with sleep-scale verb latency, throughput is
-    // bounded by round-trip counts — the quantity the paper's overheads
-    // measure — instead of by single-core scheduler noise (which swamps
-    // sub-10% effects on this host). See DESIGN.md §1.
+    // RTT-dominated regime (`run_failover` builds at `failover_latency`):
+    // with sleep-scale verb latency, throughput is bounded by round-trip
+    // counts — the quantity the paper's overheads measure — instead of by
+    // single-core scheduler noise (which swamps sub-10% effects on this
+    // host). See DESIGN.md §1.
+    let spec = FailoverSpec { duration, fault_at: duration, ..Default::default() }; // never fires
 
     // ---- Fig. 6: throughput over time, FORD vs Pandora, PILL on/off ----
     println!("# Figure 6 — steady-state of non-recoverable FORD vs recoverable Pandora");
@@ -31,19 +33,13 @@ fn main() {
     println!("# (0.919 vs 0.912 MTps). The Pandora-without-PILL line isolates PILL's");
     println!("# cost exactly; the FORD line additionally carries FORD's heavier");
     println!("# per-object logging (Pandora's coordinator logs need fewer writes).");
-    let spec = FailoverSpec {
-        duration,
-        fault_at: duration,
-        latency: pandora_bench::failover_latency(),
-        ..Default::default()
-    };
     let ford = run_failover(Arc::new(micro_default()), cfg(ProtocolKind::Ford), &spec);
     let pandora = run_failover(Arc::new(micro_default()), cfg(ProtocolKind::Pandora), &spec);
     let no_pill =
         run_failover(Arc::new(micro_default()), cfg(ProtocolKind::Pandora).without_pill(), &spec);
-    let f_mean = pandora_bench::window_mean(&ford, warmup, duration);
-    let p_mean = pandora_bench::window_mean(&pandora, warmup, duration);
-    let np_mean = pandora_bench::window_mean(&no_pill, warmup, duration);
+    let f_mean = window_mean(&ford, warmup, duration);
+    let p_mean = window_mean(&pandora, warmup, duration);
+    let np_mean = window_mean(&no_pill, warmup, duration);
     print_series(
         "Fig 6: tps over time",
         &[("FORD", ford), ("Pandora", pandora), ("Pandora (PILL off)", no_pill)],
@@ -59,17 +55,19 @@ fn main() {
     // ---- §6.2.1: traditional scheme steady-state overhead ----
     println!("\n# §6.2.1 — Traditional lock-intent logging: steady-state overhead vs FORD");
     println!("# paper: SmallBank 35%, TPC-C 14%, TATP 2%, microbench(100% wr) 21%");
-    type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload>>;
-    let workloads: Vec<(&str, WorkloadFactory)> = vec![
-        ("SmallBank", Box::new(|| Box::new(smallbank_default()))),
-        ("TPC-C", Box::new(|| Box::new(tpcc_default()))),
-        ("TATP", Box::new(|| Box::new(tatp_default()))),
-        ("MicroBench(100%wr)", Box::new(|| Box::new(micro_all_writes()))),
+    type MakeWorkload = fn() -> Arc<dyn Workload>;
+    let workloads: [(&str, MakeWorkload); 4] = [
+        ("SmallBank", || Arc::new(smallbank_default())),
+        ("TPC-C", || Arc::new(tpcc_default())),
+        ("TATP", || Arc::new(tatp_default())),
+        ("MicroBench(100%wr)", || Arc::new(micro_all_writes())),
     ];
     let mut rows = Vec::new();
     for (name, make) in workloads {
-        let base = dyn_tps(make(), ProtocolKind::Ford, duration, warmup);
-        let trad = dyn_tps(make(), ProtocolKind::Traditional, duration, warmup);
+        let tps =
+            |protocol| window_mean(&run_failover(make(), cfg(protocol), &spec), warmup, duration);
+        let base = tps(ProtocolKind::Ford);
+        let trad = tps(ProtocolKind::Traditional);
         let overhead = (1.0 - trad / base.max(1.0)) * 100.0;
         rows.push(vec![
             name.to_string(),
@@ -83,42 +81,4 @@ fn main() {
         &["workload", "FORD tps", "Traditional tps", "overhead"],
         &rows,
     );
-}
-
-fn dyn_tps(
-    workload: Box<dyn Workload>,
-    protocol: ProtocolKind,
-    duration: Duration,
-    warmup: Duration,
-) -> f64 {
-    // Monomorphize through Arc<dyn Workload> via a small shim.
-    #[allow(dead_code)]
-    struct Shim(Box<dyn Workload>);
-    impl Workload for Shim {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn tables(&self) -> Vec<dkvs::TableDef> {
-            self.0.tables()
-        }
-        fn load(&self, cluster: &pandora::SimCluster) {
-            self.0.load(cluster)
-        }
-        fn execute(
-            &self,
-            co: &mut pandora::Coordinator,
-            rng: &mut rand::rngs::StdRng,
-        ) -> Result<(), pandora::TxnError> {
-            self.0.execute(co, rng)
-        }
-    }
-    let spec = FailoverSpec {
-        coordinators: DEFAULT_COORDINATORS,
-        duration,
-        fault_at: duration, // never fires
-        latency: pandora_bench::failover_latency(),
-        ..Default::default()
-    };
-    let samples = run_failover(Arc::new(Shim(workload)), cfg(protocol), &spec);
-    pandora_bench::window_mean(&samples, warmup, duration)
 }

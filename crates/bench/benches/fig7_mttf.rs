@@ -11,38 +11,36 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pandora::ProtocolKind;
-use pandora_bench::{cfg, micro_default, print_table, window_mean, DEFAULT_COORDINATORS};
-use pandora_workloads::{RunnerConfig, WorkloadRunner};
+use pandora_bench::{
+    cfg, failover_latency, micro_default, print_table, window_mean, FailoverSpec, FaultKind,
+    DEFAULT_COORDINATORS,
+};
+use pandora_workloads::{build_cluster, inject_fault, RunnerConfig, WorkloadRunner};
 
 fn run_with_mttf(mttf: Option<Duration>, duration: Duration) -> (f64, usize, u64) {
     let bench = Arc::new(micro_default());
     // RTT-dominated regime for stable comparisons (see fig6).
-    let cluster = pandora_bench::cluster_with_latency(
-        bench.as_ref(),
-        cfg(ProtocolKind::Pandora),
-        pandora_bench::failover_latency(),
-    );
+    let cluster =
+        build_cluster(bench.as_ref(), cfg(ProtocolKind::Pandora), failover_latency(), None, None);
     let mut runner = WorkloadRunner::spawn(
-        Arc::clone(&cluster),
-        Arc::clone(&bench),
+        cluster,
+        bench,
         RunnerConfig { coordinators: DEFAULT_COORDINATORS, seed: 17, ..RunnerConfig::default() },
     );
     let sampler = runner.timeline_sampler(Duration::from_millis(100));
+    // One failure "generation" (paper: "stopped (then recovered) half of
+    // the coordinators"): crash half, recover, respawn.
+    let generation = FailoverSpec {
+        fault: FaultKind::ComputeCrash { fraction: 0.5 },
+        respawn: true,
+        ..Default::default()
+    };
     let t0 = Instant::now();
     let mut failures = 0usize;
     if let Some(mttf) = mttf {
         while t0.elapsed() + mttf < duration {
             std::thread::sleep(mttf);
-            // Crash half the coordinators, recover, respawn — one
-            // failure "generation" (paper: "stopped (then recovered)
-            // half of the coordinators").
-            let victims = runner.crash_first(DEFAULT_COORDINATORS / 2);
-            std::thread::sleep(Duration::from_millis(5)); // detection
-            for v in &victims {
-                cluster.fd.declare_failed(*v);
-            }
-            runner.respawn_crashed();
-            failures += victims.len();
+            failures += inject_fault(&mut runner, &generation).crashed.len();
         }
     }
     let remaining = duration.saturating_sub(t0.elapsed());

@@ -152,57 +152,19 @@ fn bench_lock_steal(c: &mut Criterion) {
     });
 }
 
-fn bench_doorbell_batching(c: &mut Criterion) {
-    // Ablation: commit round trips with vs without doorbell batching,
-    // under a spin-scale per-verb latency so round trips dominate.
-    let latency =
-        rdma_sim::LatencyModel { rtt: std::time::Duration::from_micros(3), ns_per_kib: 0 };
-    for batched in [false, true] {
-        let mut config = SystemConfig::new(ProtocolKind::Pandora);
-        if batched {
-            config = config.with_doorbell_batching();
-        }
-        let cluster = SimCluster::builder(ProtocolKind::Pandora)
-            .memory_nodes(3)
-            .replication(2)
-            .capacity_per_node(16 << 20)
-            .table(TableDef::sized_for(0, "kv", 40, 4096))
-            .max_coord_slots(64)
-            .config(config)
-            .latency(latency)
-            .build()
-            .unwrap();
-        cluster.bulk_load(TableId(0), (0..2048u64).map(|k| (k, vec![0u8; 40]))).unwrap();
-        let (mut co, _lease) = cluster.coordinator().unwrap();
-        let mut key = 0u64;
-        let label = if batched { "batched" } else { "unbatched" };
-        c.bench_function(&format!("doorbell/commit_4_writes/{label}"), |b| {
-            b.iter(|| {
-                let base = key % 512;
-                key = key.wrapping_add(4);
-                let mut txn = co.begin();
-                for k in base..base + 4 {
-                    txn.write(TableId(0), k, &[1u8; 40]).unwrap();
-                }
-                txn.commit().unwrap();
-            })
-        });
-    }
-}
-
 fn bench_pipeline_fanout(c: &mut Criterion) {
     // Latency-hiding ablation (ISSUE 9 acceptance gate): the fan-out
     // commit path posts every phase's verbs up front and takes one
     // completion barrier per phase, so a 4-write commit costs a handful
     // of round trips instead of ~20 sequential ones. At rtt = 2 µs the
     // pipelined configuration must land >= 2x below the sequential
-    // baseline (`without_pipeline`, every verb blocking).
+    // baseline (`pipeline_depth = 1`, every verb blocking).
     let latency =
         rdma_sim::LatencyModel { rtt: std::time::Duration::from_micros(2), ns_per_kib: 0 };
     for pipelined in [false, true] {
         let mut config = SystemConfig::new(ProtocolKind::Pandora);
         if !pipelined {
-            config = config.without_pipeline();
+            config = config.with_pipeline_depth(1);
         }
         let cluster = SimCluster::builder(ProtocolKind::Pandora)
             .memory_nodes(3)
@@ -349,7 +311,6 @@ criterion_group! {
         bench_log_codec,
         bench_commit_paths,
         bench_lock_steal,
-        bench_doorbell_batching,
         bench_pipeline_fanout,
         bench_interleave,
         bench_persistence_modes

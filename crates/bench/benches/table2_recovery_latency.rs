@@ -13,63 +13,18 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pandora::{ProtocolKind, QuorumFd, SimCluster};
+use pandora::{ProtocolKind, QuorumFd};
 use pandora_bench::{
-    cfg, cluster_for, micro_all_writes, print_table, smallbank_default, tatp_default, tpcc_default,
+    cfg, micro_all_writes, print_table, smallbank_default, tatp_default, tpcc_default,
 };
-use pandora_workloads::Workload;
+use pandora_workloads::{build_cluster, freeze, recover, MicroBench, Workload};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use rdma_sim::{CrashMode, CrashPlan, EndpointId};
+use rand::SeedableRng;
+use rdma_sim::LatencyModel;
 
-/// Create `n` coordinators and crash each mid-transaction, leaving locks
-/// and logs wherever the crash caught them ("frozen coordinators" —
-/// the outstanding transactions of the failed compute node).
-fn freeze_coordinators(
-    cluster: &Arc<SimCluster>,
-    workload: &dyn Workload,
-    n: usize,
-    rng: &mut StdRng,
-) -> Vec<(u16, EndpointId)> {
-    let mut frozen = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (mut co, lease) = cluster.coordinator().expect("coordinator");
-        for _attempt in 0..4 {
-            let base = co.injector().ops_issued();
-            let at = base + rng.random_range(1..=25u64);
-            let mode = if rng.random_bool(0.5) { CrashMode::AfterOp } else { CrashMode::BeforeOp };
-            co.injector().arm(CrashPlan { at_op: at, mode });
-            let _ = workload.execute(&mut co, rng);
-            if co.injector().is_crashed() {
-                break;
-            }
-        }
-        if !co.injector().is_crashed() {
-            co.injector().crash_now();
-            co.gate().mark_dead();
-        }
-        frozen.push((lease.coord_id, lease.endpoint));
-    }
-    frozen
-}
-
-fn recover_all_us(cluster: &Arc<SimCluster>, frozen: &[(u16, EndpointId)]) -> f64 {
-    let rc = cluster.fd.recovery();
-    let t0 = Instant::now();
-    match cluster.ctx.config.protocol {
-        ProtocolKind::Pandora => {
-            for &(coord, ep) in frozen {
-                rc.recover_pandora(coord, ep);
-            }
-        }
-        ProtocolKind::Ford => {
-            rc.recover_baseline(frozen);
-        }
-        ProtocolKind::Traditional => {
-            rc.recover_traditional(frozen);
-        }
-    }
-    t0.elapsed().as_secs_f64() * 1e6
+/// A loaded zero-latency cluster for `workload`.
+fn cluster_for(workload: &dyn Workload, protocol: ProtocolKind) -> Arc<pandora::SimCluster> {
+    build_cluster(workload, cfg(protocol), LatencyModel::zero(), None, None)
 }
 
 fn recovery_latency_rows(protocol: ProtocolKind, counts: &[usize]) -> Vec<Vec<String>> {
@@ -81,13 +36,13 @@ fn recovery_latency_rows(protocol: ProtocolKind, counts: &[usize]) -> Vec<Vec<St
     ];
     let mut rows = Vec::new();
     for (name, workload) in workloads {
-        let cluster = cluster_for(workload.as_ref(), cfg(protocol));
+        let cluster = cluster_for(workload.as_ref(), protocol);
         let mut rng = StdRng::seed_from_u64(0xF00D);
         let mut row = vec![name.to_string()];
         for &n in counts {
-            let frozen = freeze_coordinators(&cluster, workload.as_ref(), n, &mut rng);
-            let us = recover_all_us(&cluster, &frozen);
-            row.push(format!("{us:.0}"));
+            let frozen = freeze(&cluster, workload.as_ref(), n, &mut rng);
+            let (_, took) = recover(&cluster, &frozen);
+            row.push(format!("{}", took.as_micros()));
         }
         rows.push(row);
     }
@@ -121,20 +76,17 @@ fn main() {
     println!("# 100G latency model; the shape — linear in keys — is the claim)");
     let mut rows = Vec::new();
     for keys in [16_384u64, 65_536, 262_144] {
-        let bench = pandora_workloads::MicroBench::new(keys, 1.0);
-        let builder = pandora_workloads::with_tables(
-            SimCluster::builder(ProtocolKind::Ford)
-                .memory_nodes(3)
-                .replication(2)
-                .capacity_per_node(pandora_bench::capacity_for(&bench))
-                .latency(rdma_sim::LatencyModel::cloudlab_100g()),
+        let bench = MicroBench::new(keys, 1.0);
+        let cluster = build_cluster(
             &bench,
+            cfg(ProtocolKind::Ford),
+            LatencyModel::cloudlab_100g(),
+            None,
+            None,
         );
-        let cluster = Arc::new(builder.build().expect("cluster"));
-        bench.load(&cluster);
         let mut rng = StdRng::seed_from_u64(3);
-        let frozen = freeze_coordinators(&cluster, &bench, 8, &mut rng);
-        let us = recover_all_us(&cluster, &frozen);
+        let frozen = freeze(&cluster, &bench, 8, &mut rng);
+        let us = recover(&cluster, &frozen).1.as_secs_f64() * 1e6;
         rows.push(vec![
             keys.to_string(),
             format!("{:.0}", us),
@@ -153,9 +105,9 @@ fn main() {
     let bench = micro_all_writes();
     let mut rows = Vec::new();
     for (label, quorum) in [("standalone FD", 1usize), ("distributed FD (3 replicas)", 3)] {
-        let cluster = cluster_for(&bench, cfg(ProtocolKind::Pandora));
+        let cluster = cluster_for(&bench, ProtocolKind::Pandora);
         let mut rng = StdRng::seed_from_u64(4);
-        let frozen = freeze_coordinators(&cluster, &bench, 1, &mut rng);
+        let frozen = freeze(&cluster, &bench, 1, &mut rng);
         let (coord, _ep) = frozen[0];
         let t0 = Instant::now();
         let report = if quorum == 1 {

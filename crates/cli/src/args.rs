@@ -7,6 +7,8 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use pandora_workloads::FaultKind;
+
 /// A parsed command line: the command word plus flag map.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -90,44 +92,34 @@ impl Args {
     }
 }
 
-/// A fault specification: `compute:<fraction>@<secs>` or
-/// `memory:<node>@<secs>`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSpec {
-    Compute { fraction: f64, at: Duration },
-    Memory { node: u16, at: Duration },
-}
-
-impl FaultSpec {
-    pub fn parse(s: &str) -> Result<FaultSpec, ParseError> {
-        let (kind, rest) = s
-            .split_once(':')
-            .ok_or_else(|| ParseError(format!("fault spec {s:?}: expected kind:arg@secs")))?;
-        let (arg, at) = rest
-            .split_once('@')
-            .ok_or_else(|| ParseError(format!("fault spec {s:?}: missing @<secs>")))?;
-        let at = Duration::from_secs_f64(
-            at.parse()
-                .map_err(|_| ParseError(format!("fault spec {s:?}: bad time {at:?}")))?,
-        );
-        match kind {
-            "compute" => {
-                let fraction: f64 = arg
-                    .parse()
-                    .map_err(|_| ParseError(format!("fault spec {s:?}: bad fraction")))?;
-                if !(0.0..=1.0).contains(&fraction) {
-                    return Err(ParseError(format!("fraction {fraction} outside [0, 1]")));
-                }
-                Ok(FaultSpec::Compute { fraction, at })
+/// Parse a fault specification, `compute:<fraction>@<secs>` or
+/// `memory:<node>@<secs>`, into the fault and when it fires.
+pub fn parse_fault(s: &str) -> Result<(FaultKind, Duration), ParseError> {
+    let (kind, rest) = s
+        .split_once(':')
+        .ok_or_else(|| ParseError(format!("fault spec {s:?}: expected kind:arg@secs")))?;
+    let (arg, at) = rest
+        .split_once('@')
+        .ok_or_else(|| ParseError(format!("fault spec {s:?}: missing @<secs>")))?;
+    let at = Duration::from_secs_f64(
+        at.parse()
+            .map_err(|_| ParseError(format!("fault spec {s:?}: bad time {at:?}")))?,
+    );
+    match kind {
+        "compute" => {
+            let fraction: f64 =
+                arg.parse().map_err(|_| ParseError(format!("fault spec {s:?}: bad fraction")))?;
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(ParseError(format!("fraction {fraction} outside [0, 1]")));
             }
-            "memory" => {
-                let node: u16 = arg
-                    .parse()
-                    .map_err(|_| ParseError(format!("fault spec {s:?}: bad node id")))?;
-                Ok(FaultSpec::Memory { node, at })
-            }
-            other => Err(ParseError(format!("unknown fault kind {other:?}"))),
+            Ok((FaultKind::ComputeCrash { fraction }, at))
         }
+        "memory" => {
+            let node: u16 =
+                arg.parse().map_err(|_| ParseError(format!("fault spec {s:?}: bad node id")))?;
+            Ok((FaultKind::MemoryKill { node }, at))
+        }
+        other => Err(ParseError(format!("unknown fault kind {other:?}"))),
     }
 }
 
@@ -175,16 +167,16 @@ mod tests {
     #[test]
     fn fault_specs() {
         assert_eq!(
-            FaultSpec::parse("compute:0.5@3").unwrap(),
-            FaultSpec::Compute { fraction: 0.5, at: Duration::from_secs(3) }
+            parse_fault("compute:0.5@3").unwrap(),
+            (FaultKind::ComputeCrash { fraction: 0.5 }, Duration::from_secs(3))
         );
         assert_eq!(
-            FaultSpec::parse("memory:2@1.5").unwrap(),
-            FaultSpec::Memory { node: 2, at: Duration::from_millis(1500) }
+            parse_fault("memory:2@1.5").unwrap(),
+            (FaultKind::MemoryKill { node: 2 }, Duration::from_millis(1500))
         );
-        assert!(FaultSpec::parse("compute:1.5@3").is_err());
-        assert!(FaultSpec::parse("disk:0@1").is_err());
-        assert!(FaultSpec::parse("compute:0.5").is_err());
+        assert!(parse_fault("compute:1.5@3").is_err());
+        assert!(parse_fault("disk:0@1").is_err());
+        assert!(parse_fault("compute:0.5").is_err());
     }
 
     #[test]

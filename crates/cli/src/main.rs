@@ -12,20 +12,18 @@ mod args;
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use args::{Args, FaultSpec, ParseError};
+use args::{parse_fault, Args, ParseError};
 use pandora::config::PersistenceMode;
-use pandora::{
-    BugFlags, MemoryFailureHandler, ProtocolKind, RecoveryCrashPlan, SimCluster, SystemConfig,
-};
+use pandora::{BugFlags, ProtocolKind, RecoveryCrashPlan, SystemConfig};
 use pandora_workloads::{
-    with_tables, MicroBench, RunnerConfig, SmallBank, Tatp, Tpcc, Workload, WorkloadRunner, Ycsb,
-    YcsbMix,
+    build_cluster, freeze, recover, run_failover, FailoverSpec, FaultKind, MicroBench, SmallBank,
+    Tatp, Tpcc, Workload, Ycsb, YcsbMix, MEMORY_NODES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdma_sim::{ChaosConfig, CrashMode, CrashPlan, LatencyModel, NodeId};
+use rdma_sim::{ChaosConfig, LatencyModel, NodeId};
 
 const HELP: &str = "\
 pandora-cli — fast, highly available, recoverable transactions on a simulated DKVS
@@ -63,11 +61,9 @@ RUN FLAGS
   --chaos-profile P     light|heavy                    (default light)
   --stalls              stall (not abort) on lock conflicts
   --persistence volatile|battery|nvm                   (default volatile)
-  --doorbell            coalesce commit writes per node (doorbell batching)
   --pipeline-depth N    posted verbs kept in flight per QP by the fan-out
-                        commit path                    (default 16)
-  --no-pipeline         issue every verb blocking (sequential baseline;
-                        same as --pipeline-depth 1)
+                        commit path; 1 issues every verb blocking (the
+                        sequential baseline)           (default 16)
   --qp-stripes N        queue pairs per (coordinator, node); verbs to
                         unrelated addresses complete out of order across
                         the stripe lanes                (default 1)
@@ -144,9 +140,9 @@ fn parse_protocol(args: &Args) -> Result<ProtocolKind, ParseError> {
     }
 }
 
-fn parse_workload(args: &Args) -> Result<Box<dyn Workload>, ParseError> {
+fn parse_workload(args: &Args) -> Result<Arc<dyn Workload>, ParseError> {
     let micro_keys = args.get_u64("keys", 65_536)?;
-    let w: Box<dyn Workload> = match args.get("workload").unwrap_or("micro") {
+    let w: Arc<dyn Workload> = match args.get("workload").unwrap_or("micro") {
         "micro" => {
             let mut m = MicroBench::new(micro_keys, args.get_f64("write-ratio", 0.5)?);
             if let Some(hot) = args.get("hot-keys") {
@@ -154,17 +150,17 @@ fn parse_workload(args: &Args) -> Result<Box<dyn Workload>, ParseError> {
                     hot.parse().map_err(|_| ParseError("--hot-keys expects an integer".into()))?;
                 m = m.with_hot_keys(hot);
             }
-            Box::new(m)
+            Arc::new(m)
         }
-        "smallbank" => Box::new(SmallBank::new(args.get_u64("accounts", 16_384)?)),
-        "tatp" => Box::new(Tatp::new(args.get_u64("subscribers", 8_192)?)),
-        "tpcc" => Box::new(Tpcc::new(args.get_u64("warehouses", 4)?)),
-        "ycsb-a" => Box::new(Ycsb::new(YcsbMix::A, micro_keys)),
-        "ycsb-b" => Box::new(Ycsb::new(YcsbMix::B, micro_keys)),
-        "ycsb-c" => Box::new(Ycsb::new(YcsbMix::C, micro_keys)),
-        "ycsb-d" => Box::new(Ycsb::new(YcsbMix::D, micro_keys)),
-        "ycsb-e" => Box::new(Ycsb::new(YcsbMix::E, micro_keys)),
-        "ycsb-f" => Box::new(Ycsb::new(YcsbMix::F, micro_keys)),
+        "smallbank" => Arc::new(SmallBank::new(args.get_u64("accounts", 16_384)?)),
+        "tatp" => Arc::new(Tatp::new(args.get_u64("subscribers", 8_192)?)),
+        "tpcc" => Arc::new(Tpcc::new(args.get_u64("warehouses", 4)?)),
+        "ycsb-a" => Arc::new(Ycsb::new(YcsbMix::A, micro_keys)),
+        "ycsb-b" => Arc::new(Ycsb::new(YcsbMix::B, micro_keys)),
+        "ycsb-c" => Arc::new(Ycsb::new(YcsbMix::C, micro_keys)),
+        "ycsb-d" => Arc::new(Ycsb::new(YcsbMix::D, micro_keys)),
+        "ycsb-e" => Arc::new(Ycsb::new(YcsbMix::E, micro_keys)),
+        "ycsb-f" => Arc::new(Ycsb::new(YcsbMix::F, micro_keys)),
         other => return Err(ParseError(format!("unknown workload {other:?}"))),
     };
     Ok(w)
@@ -175,18 +171,13 @@ fn parse_config(args: &Args) -> Result<SystemConfig, ParseError> {
     if args.has("stalls") {
         config = config.with_stalls(Duration::from_millis(50));
     }
-    if args.has("doorbell") {
-        config = config.with_doorbell_batching();
-    }
     config.persistence = match args.get("persistence").unwrap_or("volatile") {
         "volatile" => PersistenceMode::VolatileReplicated,
         "battery" => PersistenceMode::BatteryBackedDram,
         "nvm" => PersistenceMode::NvmFlush,
         other => return Err(ParseError(format!("unknown persistence mode {other:?}"))),
     };
-    if args.has("no-pipeline") {
-        config = config.without_pipeline();
-    } else if args.has("pipeline-depth") {
+    if args.has("pipeline-depth") {
         let depth = args.get_u64("pipeline-depth", 16)?;
         config = config.with_pipeline_depth(depth.min(u32::MAX as u64) as u32);
     }
@@ -199,61 +190,6 @@ fn parse_config(args: &Args) -> Result<SystemConfig, ParseError> {
         config = config.with_inflight_txns(n.min(u32::MAX as u64) as u32);
     }
     Ok(config)
-}
-
-/// Wrap a boxed workload so the generic runner can use it.
-struct Shim(Box<dyn Workload>);
-
-impl Workload for Shim {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn tables(&self) -> Vec<dkvs::TableDef> {
-        self.0.tables()
-    }
-    fn load(&self, cluster: &SimCluster) {
-        self.0.load(cluster)
-    }
-    fn request(&self, rng: &mut StdRng) -> Option<pandora::TxnRequest> {
-        self.0.request(rng)
-    }
-    fn execute(
-        &self,
-        co: &mut pandora::Coordinator,
-        rng: &mut StdRng,
-    ) -> Result<(), pandora::TxnError> {
-        self.0.execute(co, rng)
-    }
-}
-
-fn build_cluster(
-    workload: &dyn Workload,
-    config: SystemConfig,
-    latency: LatencyModel,
-    chaos: Option<ChaosConfig>,
-    flight_capacity: Option<usize>,
-) -> Arc<SimCluster> {
-    let segments: u64 = workload.tables().iter().map(|t| t.segment_bytes()).sum();
-    let capacity = (segments + (96 << 20)).next_power_of_two();
-    let mut builder = with_tables(
-        SimCluster::builder(config.protocol)
-            .memory_nodes(3)
-            .replication(2)
-            .capacity_per_node(capacity)
-            .max_coord_slots(2048)
-            .config(config)
-            .latency(latency),
-        workload,
-    );
-    if let Some(cfg) = chaos {
-        builder = builder.chaos(cfg);
-    }
-    if let Some(cap) = flight_capacity {
-        builder = builder.flight(cap);
-    }
-    let cluster = builder.build().expect("build cluster");
-    workload.load(&cluster);
-    Arc::new(cluster)
 }
 
 /// `--chaos-seed` / `--chaos-profile` → a chaos config (None when the
@@ -270,27 +206,38 @@ fn parse_chaos(args: &Args) -> Result<Option<ChaosConfig>, ParseError> {
         .ok_or_else(|| ParseError(format!("unknown chaos profile {name:?}")))
 }
 
+/// A memory-node argument must name a node of the harness cluster:
+/// reject bad targets up front instead of panicking mid-run.
+fn check_node(what: &str, node: u16) -> Result<(), ParseError> {
+    if node >= MEMORY_NODES {
+        return Err(ParseError(format!(
+            "{what} targets node {node}, but the cluster has nodes 0..{}",
+            MEMORY_NODES - 1
+        )));
+    }
+    Ok(())
+}
+
+fn write_file(path: &str, what: &str, contents: String) -> Result<(), ParseError> {
+    std::fs::write(path, contents).map_err(|e| ParseError(format!("cannot write {path}: {e}")))?;
+    println!("{what} written to {path}");
+    Ok(())
+}
+
 fn cmd_run(args: &Args) -> Result<(), ParseError> {
     let config = parse_config(args)?;
-    let workload = Arc::new(Shim(parse_workload(args)?));
+    let workload = parse_workload(args)?;
     let coordinators = args.get_u64("coordinators", 4)? as usize;
     let duration = args.get_secs("duration", Duration::from_secs(5))?;
     let warmup = args.get_secs("warmup", Duration::from_secs(1))?;
-    let latency_us = args.get_u64("latency-us", 0)?;
-    let latency = if latency_us == 0 {
-        LatencyModel::zero()
-    } else {
-        LatencyModel { rtt: Duration::from_micros(latency_us), ns_per_kib: 0 }
+    let latency =
+        LatencyModel { rtt: Duration::from_micros(args.get_u64("latency-us", 0)?), ns_per_kib: 0 };
+    let (fault, fault_at) = match args.get("fault") {
+        Some(spec) => parse_fault(spec)?,
+        None => (FaultKind::None, duration),
     };
-    let fault = args.get("fault").map(FaultSpec::parse).transpose()?;
-    if let Some(FaultSpec::Memory { node, .. }) = fault {
-        // The harness builds a 3-node cluster; reject bad targets up
-        // front instead of panicking mid-run.
-        if node >= 3 {
-            return Err(ParseError(format!(
-                "memory fault targets node {node}, but the cluster has nodes 0..2"
-            )));
-        }
+    if let FaultKind::MemoryKill { node } = fault {
+        check_node("memory fault", node)?;
     }
 
     // Nested-failure flags: kill the recoverer mid-recovery, optionally
@@ -307,7 +254,7 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
                 .map_err(|_| ParseError(format!("bad --mem-fail-during-recovery node {s:?}")))
         })
         .transpose()?;
-    if kill_recoverer.is_some() && !matches!(fault, Some(FaultSpec::Compute { .. })) {
+    if kill_recoverer.is_some() && !matches!(fault, FaultKind::ComputeCrash { .. }) {
         return Err(ParseError(
             "--kill-recoverer-at requires --fault compute:<frac>@<secs> (nothing recovers otherwise)"
                 .into(),
@@ -320,15 +267,11 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
         ));
     }
     if let Some(node) = mem_fail_during {
-        if node >= 3 {
-            return Err(ParseError(format!(
-                "--mem-fail-during-recovery targets node {node}, but the cluster has nodes 0..2"
-            )));
-        }
+        check_node("--mem-fail-during-recovery", node)?;
     }
 
     let chaos_cfg = parse_chaos(args)?;
-    let trace_out = args.get("trace-out").map(str::to_string);
+    let trace_out = args.get("trace-out");
     // The flight recorder rides along whenever a trace is requested (or
     // a capacity is given explicitly); otherwise the run pays only the
     // `None` check per hook.
@@ -337,116 +280,101 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
     } else {
         None
     };
+    let fault_text = match fault {
+        FaultKind::None => "None".to_string(),
+        fault => format!("{fault:?}@{fault_at:?}"),
+    };
     println!(
-        "workload={} protocol={:?} coordinators={coordinators} duration={duration:?} fault={fault:?}",
+        "workload={} protocol={:?} coordinators={coordinators} duration={duration:?} fault={fault_text}",
         workload.name(),
         config.protocol
     );
     let cluster = build_cluster(workload.as_ref(), config, latency, chaos_cfg, flight_capacity);
-    if let Some(chaos) = &cluster.chaos {
+    if let (Some(chaos), Some(cfg)) = (&cluster.chaos, chaos_cfg) {
         // Dataset is loaded; everything from here on runs under fire.
         chaos.set_enabled(true);
-        println!(
-            "chaos enabled: seed={} (replay with the same --chaos-seed)",
-            chaos_cfg.unwrap().seed
-        );
+        println!("chaos enabled: seed={} (replay with the same --chaos-seed)", cfg.seed);
         if let Some(rec) = &cluster.flight {
             // Dumps and traces name the schedule they ran under.
-            rec.set_chaos_seed(chaos_cfg.unwrap().seed);
+            rec.set_chaos_seed(cfg.seed);
         }
     }
-    let mut runner = WorkloadRunner::spawn(
+    let run = run_failover(
         Arc::clone(&cluster),
-        Arc::clone(&workload),
-        RunnerConfig {
+        workload,
+        &FailoverSpec {
             coordinators,
+            duration,
+            fault_at,
+            fault,
+            respawn: args.has("respawn"),
+            recovery_delay: Duration::ZERO,
+            // Dense enough to resolve a fail-over dip.
+            sample_interval: Duration::from_millis(25),
             seed: args.get_u64("seed", 7)?,
             phase_metrics: !args.has("no-phase-metrics"),
+            recovery_crash: kill_recoverer,
+            nested_mem_fail: mem_fail_during.map(NodeId),
         },
     );
-    // One time series for the printed mean and the metrics JSON:
-    // committed/aborted deltas plus in-flight recoveries, dense enough
-    // (25ms) to resolve a fail-over dip.
-    let timeline = runner.timeline_sampler(Duration::from_millis(25));
-    let t0 = Instant::now();
 
-    if let Some(fault) = fault {
-        let at = match fault {
-            FaultSpec::Compute { at, .. } | FaultSpec::Memory { at, .. } => at,
-        };
-        std::thread::sleep(at.min(duration));
-        match fault {
-            FaultSpec::Compute { fraction, .. } => {
-                let n = ((coordinators as f64) * fraction).round() as usize;
-                let victims = runner.crash_first(n);
-                println!("t={:?}: crashed {} coordinators", t0.elapsed(), victims.len());
-                if let Some(plan) = kill_recoverer {
-                    cluster.fd.arm_recovery_crash(plan);
-                    println!("  armed recoverer kill at {}:{}", plan.step.name(), plan.at_verb);
-                }
-                if let Some(node) = mem_fail_during {
-                    cluster.fd.arm_nested_mem_fail(NodeId(node));
-                    println!("  armed memory node {node} to die during recovery");
-                }
-                std::thread::sleep(Duration::from_millis(5)); // detection
-                for v in &victims {
-                    cluster.fd.declare_failed(*v);
-                }
-                for report in cluster.fd.reports() {
-                    println!(
-                        "  recovered coord {}: attempts={} logged={} fwd={} back={} log-recovery={:?}",
-                        report.coord,
-                        report.attempts,
-                        report.logged_txns,
-                        report.rolled_forward,
-                        report.rolled_back,
-                        report.log_recovery
-                    );
-                }
-                if args.has("respawn") {
-                    let n = runner.respawn_crashed();
-                    println!("  respawned {n} coordinators");
-                }
-            }
-            FaultSpec::Memory { node, .. } => {
-                cluster.ctx.fabric.kill_node(NodeId(node)).expect("kill node");
-                std::thread::sleep(Duration::from_millis(5));
-                let handler =
-                    MemoryFailureHandler::new(Arc::clone(&cluster.ctx)).expect("memfail handler");
-                let report = handler.handle_failure(NodeId(node));
-                println!(
-                    "t={:?}: memory node {node} failed; {} buckets promoted, {} lost, reconfig {:?}",
-                    t0.elapsed(),
-                    report.promoted_buckets,
-                    report.lost_buckets,
-                    report.total
-                );
-            }
+    let m = &run.metrics;
+    if !run.fault.crashed.is_empty() {
+        println!("t={:?}: crashed {} coordinators", run.fault_fired, run.fault.crashed.len());
+        if let Some(plan) = kill_recoverer {
+            println!("  armed recoverer kill at {}:{}", plan.step.name(), plan.at_verb);
+        }
+        if let Some(node) = mem_fail_during {
+            println!("  armed memory node {node} to die during recovery");
+        }
+        for report in &m.recoveries {
+            println!(
+                "  recovered coord {}: attempts={} logged={} fwd={} back={} log-recovery={:?}",
+                report.coord,
+                report.attempts,
+                report.logged_txns,
+                report.rolled_forward,
+                report.rolled_back,
+                report.log_recovery
+            );
+        }
+        if args.has("respawn") {
+            println!("  respawned {} coordinators", run.fault.respawned);
         }
     }
-
-    std::thread::sleep(duration.saturating_sub(t0.elapsed()));
-    let timeline_points = timeline.finish();
-    let latency_hist = runner.latency();
-    let probe = runner.probe();
-    let registry = runner.metrics();
-    let stats = runner.stop_and_join();
+    if let Some(report) = &run.fault.reconfiguration {
+        println!(
+            "t={:?}: memory node {} failed; {} buckets promoted, {} lost, reconfig {:?}",
+            run.fault_fired,
+            report.node.0,
+            report.promoted_buckets,
+            report.lost_buckets,
+            report.total
+        );
+    }
 
     let mean =
-        pandora::mean_tps(&timeline_points, warmup.as_millis() as u64, duration.as_millis() as u64);
-    let (p50, p95, p99) = latency_hist.percentiles();
-    let stolen: u64 = stats.iter().map(|s| s.locks_stolen).sum();
+        pandora::mean_tps(&m.timeline, warmup.as_millis() as u64, duration.as_millis() as u64);
+    let stolen: u64 = run.stats.iter().map(|s| s.locks_stolen).sum();
     println!(
         "\ncommitted={} aborted={} abort_rate={:.2}%",
-        probe.committed_total(),
-        probe.aborted_total(),
-        probe.abort_rate() * 100.0
+        m.committed,
+        m.aborted,
+        m.abort_rate * 100.0
     );
     println!("mean_tps={mean:.0} (after warmup)");
-    println!("latency p50={p50:?} p95={p95:?} p99={p99:?} mean={:?}", latency_hist.mean());
+    if let Some(l) = &m.txn_latency {
+        let ns = Duration::from_nanos;
+        println!(
+            "latency p50={:?} p95={:?} p99={:?} mean={:?}",
+            ns(l.p50_ns),
+            ns(l.p95_ns),
+            ns(l.p99_ns),
+            ns(l.mean_ns)
+        );
+    }
     println!("locks_stolen={stolen}");
-    if let Some(chaos) = &cluster.chaos {
-        let c = chaos.stats();
+    if let (Some(c), Some(r)) = (&m.chaos, &m.resilience) {
         println!(
             "chaos: timeouts={} (ambiguous={}) dropped_in_flap={} flaps={} partitions={} spikes={}",
             c.timeouts_ambiguous + c.timeouts_not_applied,
@@ -456,7 +384,6 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
             c.partitions_started,
             c.delay_spikes
         );
-        let r = cluster.ctx.resilience.snapshot();
         println!(
             "resilience: retries={} exhausted={} ambiguous_resolved={} survivals={} self_fenced={}",
             r.retries,
@@ -467,13 +394,9 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
         );
     }
     if let Some(path) = args.get("metrics-json") {
-        registry.add_reports(&cluster.fd.reports());
-        registry.add_timeline(&timeline_points);
-        std::fs::write(path, registry.snapshot().to_json())
-            .map_err(|e| ParseError(format!("cannot write {path}: {e}")))?;
-        println!("metrics written to {path}");
+        write_file(path, "metrics", m.to_json())?;
     }
-    if let Some(path) = &trace_out {
+    if let Some(path) = trace_out {
         let rec = cluster.flight.as_ref().expect("recorder attached when --trace-out is set");
         rec.write_chrome_trace(path)
             .map_err(|e| ParseError(format!("cannot write {path}: {e}")))?;
@@ -490,45 +413,11 @@ fn cmd_recovery(args: &Args) -> Result<(), ParseError> {
     let workload = parse_workload(args)?;
     let frozen_n = args.get_u64("frozen", 8)? as usize;
     println!("workload={} protocol={:?} frozen={frozen_n}", workload.name(), config.protocol);
-    let protocol = config.protocol;
     let cluster = build_cluster(workload.as_ref(), config, LatencyModel::zero(), None, None);
 
     let mut rng = StdRng::seed_from_u64(args.get_u64("seed", 7)?);
-    let mut frozen = Vec::new();
-    for _ in 0..frozen_n {
-        let (mut co, lease) = cluster.coordinator().expect("coordinator");
-        for _ in 0..4 {
-            let base = co.injector().ops_issued();
-            use rand::RngExt;
-            co.injector().arm(CrashPlan {
-                at_op: base + rng.random_range(1..=25u64),
-                mode: if rng.random_bool(0.5) { CrashMode::AfterOp } else { CrashMode::BeforeOp },
-            });
-            let _ = workload.execute(&mut co, &mut rng);
-            if co.injector().is_crashed() {
-                break;
-            }
-        }
-        if !co.injector().is_crashed() {
-            co.injector().crash_now();
-            co.gate().mark_dead();
-        }
-        frozen.push((lease.coord_id, lease.endpoint));
-    }
-
-    let rc = cluster.fd.recovery();
-    let t0 = Instant::now();
-    let mut reports = Vec::new();
-    match protocol {
-        ProtocolKind::Pandora => {
-            for &(coord, ep) in &frozen {
-                reports.push(rc.recover_pandora(coord, ep));
-            }
-        }
-        ProtocolKind::Ford => reports.push(rc.recover_baseline(&frozen)),
-        ProtocolKind::Traditional => reports.push(rc.recover_traditional(&frozen)),
-    }
-    let elapsed = t0.elapsed();
+    let frozen = freeze(&cluster, workload.as_ref(), frozen_n, &mut rng);
+    let (reports, elapsed) = recover(&cluster, &frozen);
     let logged: usize = reports.iter().map(|r| r.logged_txns).sum();
     println!(
         "recovered {} coordinators ({} logged stray txns) in {:?} ({:.0} us/coordinator)",
@@ -554,9 +443,7 @@ fn cmd_recovery(args: &Args) -> Result<(), ParseError> {
     if let Some(path) = args.get("metrics-json") {
         let registry = pandora::MetricsRegistry::new().with_fabric(Arc::clone(&cluster.ctx.fabric));
         registry.add_reports(&reports);
-        std::fs::write(path, registry.snapshot().to_json())
-            .map_err(|e| ParseError(format!("cannot write {path}: {e}")))?;
-        println!("metrics written to {path}");
+        write_file(path, "metrics", registry.snapshot().to_json())?;
     }
     Ok(())
 }

@@ -439,7 +439,6 @@ impl Commit {
     /// [`Commit::settle`]. An item's verbs post together on one lane.
     fn post_items(&mut self, co: &Coordinator) {
         let window = co.post_window();
-        let batching = co.ctx.config.doorbell_batching;
         let Commit { items, pending, write_set, log_bufs, .. } = self;
         for (k, it) in items.iter_mut().enumerate() {
             let (node, base) = (it.node, it.addr);
@@ -467,12 +466,8 @@ impl Commit {
                     ItemKind::Apply(i) => {
                         let words = apply_words(&write_set[i]);
                         let (list, n) = apply_writes(&write_set[i], base, &words);
-                        if batching {
-                            sent(qp.post_write_batch(&list[..n])?);
-                        } else {
-                            for &(addr, bytes) in &list[..n] {
-                                sent(qp.post_write(addr, bytes)?);
-                            }
+                        for &(addr, bytes) in &list[..n] {
+                            sent(qp.post_write(addr, bytes)?);
                         }
                     }
                     ItemKind::Flush => sent(qp.post_flush(base)?),
@@ -676,12 +671,7 @@ impl Commit {
                     let words = apply_words(w);
                     let (list, n) = apply_writes(w, addr, &words);
                     let qp = co.qp(node);
-                    let issue = || {
-                        if co.ctx.config.doorbell_batching {
-                            return qp.write_batch(&list[..n]);
-                        }
-                        list[..n].iter().try_for_each(|&(a, bytes)| qp.write(a, bytes))
-                    };
+                    let issue = || list[..n].iter().try_for_each(|&(a, bytes)| qp.write(a, bytes));
                     match co.retry_verb(issue) {
                         Ok(()) => self.landed.push((i, node)),
                         Err(RdmaError::NodeDead) => {
@@ -901,8 +891,8 @@ fn apply_words(w: &WriteEntry) -> ([u8; 8], [u8; 8]) {
 /// the key word (inserts only — a backup has never seen the key), the
 /// value (not for deletes), the version. Value before version, always:
 /// same-lane RC ordering keeps a concurrent reader from validating a
-/// torn value (DESIGN §4). Posted, blocking and doorbell-batched issue
-/// all consume this one list.
+/// torn value (DESIGN §4). Posted and blocking issue both consume this
+/// one list.
 fn apply_writes<'a>(
     w: &'a WriteEntry,
     base: u64,

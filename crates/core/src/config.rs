@@ -144,11 +144,6 @@ pub struct SystemConfig {
     pub pill_enabled: bool,
     /// Durability scheme on the memory side (paper §7).
     pub persistence: PersistenceMode,
-    /// Doorbell batching: coalesce each object's commit-phase writes to
-    /// one node (key/value/version) into a single batched verb, as FORD
-    /// does with RNIC work-request chains. Preserves in-batch ordering;
-    /// saves round trips on high-latency fabrics.
-    pub doorbell_batching: bool,
     /// Heartbeat timeout after which the FD declares a coordinator
     /// failed (paper uses 5 ms).
     pub fd_timeout: Duration,
@@ -190,7 +185,6 @@ impl SystemConfig {
             stall_limit: Duration::from_millis(100),
             pill_enabled: true,
             persistence: PersistenceMode::default(),
-            doorbell_batching: false,
             fd_timeout: Duration::from_millis(5),
             fd_poll: Duration::from_millis(1),
             retry: RetryPolicy::verbs(),
@@ -204,13 +198,6 @@ impl SystemConfig {
     /// to fully sequential verbs).
     pub fn with_pipeline_depth(mut self, n: u32) -> SystemConfig {
         self.pipeline_depth = n;
-        self
-    }
-
-    /// Disable the fan-out commit path: every verb blocks for its own
-    /// completion (one round trip each).
-    pub fn without_pipeline(mut self) -> SystemConfig {
-        self.pipeline_depth = 1;
         self
     }
 
@@ -250,11 +237,6 @@ impl SystemConfig {
 
     pub fn with_persistence(mut self, mode: PersistenceMode) -> SystemConfig {
         self.persistence = mode;
-        self
-    }
-
-    pub fn with_doorbell_batching(mut self) -> SystemConfig {
-        self.doorbell_batching = true;
         self
     }
 
@@ -301,7 +283,6 @@ mod tests {
     fn pipeline_depth_defaults_on_and_toggles() {
         let c = SystemConfig::new(ProtocolKind::Pandora);
         assert!(c.pipelining_on());
-        assert!(!c.without_pipeline().pipelining_on());
         assert_eq!(c.with_pipeline_depth(4).pipeline_depth, 4);
         assert!(!c.with_pipeline_depth(1).pipelining_on());
     }

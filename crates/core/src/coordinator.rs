@@ -231,8 +231,10 @@ impl Coordinator {
         Txn::new(self, txn_id)
     }
 
-    /// Run `body` as a transaction, retrying aborts until it commits or a
-    /// non-abort error surfaces. Returns the number of aborts endured.
+    /// Run `body` as a transaction, retrying transient aborts (see
+    /// [`AbortReason::is_transient`]) until it commits; an abort that
+    /// would repeat on every attempt, or a non-abort error, surfaces at
+    /// once. Returns the number of aborts endured.
     pub fn run<T>(
         &mut self,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<T, TxnError>,
@@ -242,10 +244,7 @@ impl Coordinator {
             let mut txn = self.begin();
             match body(&mut txn).and_then(|v| txn.commit().map(|()| v)) {
                 Ok(v) => return Ok((v, aborts)),
-                Err(TxnError::Aborted(_)) => {
-                    aborts += 1;
-                    continue;
-                }
+                Err(TxnError::Aborted(reason)) if reason.is_transient() => aborts += 1,
                 Err(e) => return Err(e),
             }
         }

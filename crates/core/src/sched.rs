@@ -261,7 +261,7 @@ impl Coordinator {
             self.run_indexed(reqs, &idxs, self.ctx.config.inflight_txns, &mut results);
         } else {
             for (i, req) in reqs.iter().enumerate() {
-                results[i] = Some(self.run_classic(req));
+                results[i] = Some(self.run_request(req));
             }
         }
         results.into_iter().map(|r| r.expect("every request resolved")).collect()
@@ -278,9 +278,12 @@ impl Coordinator {
     /// locks what B reads) would do so again on every pass. Progress is
     /// therefore a property of the loop: a pass that commits nothing is
     /// followed by a pass that admits one request at a time, which no
-    /// sibling can abort. (A request that can never commit — an insert
-    /// of a live key — never returns from here; batches that may hold
-    /// one go through [`Coordinator::run_interleaved`].)
+    /// sibling can abort. When such a pass commits nothing either and
+    /// every abort in it would repeat (see
+    /// [`AbortReason::is_transient`] — an insert of a live key, an
+    /// update of an absent one), the loop cannot progress and returns
+    /// the first of them as `Err(Aborted(reason))`; requests that
+    /// committed on earlier passes stay committed.
     pub fn run_interleaved_retrying(
         &mut self,
         reqs: &[TxnRequest],
@@ -296,13 +299,22 @@ impl Coordinator {
                 self.run_indexed(reqs, &todo, width, &mut results);
             } else {
                 for &i in &todo {
-                    results[i] = Some(self.run_classic(&reqs[i]));
+                    results[i] = Some(self.run_request(&reqs[i]));
                 }
             }
             let mut next = Vec::new();
+            // The first abort of this pass that would repeat on every
+            // attempt, and whether any abort of it would not.
+            let mut stuck = None;
+            let mut transient = false;
             for &i in &todo {
                 match results[i].as_ref().expect("request resolved") {
-                    Err(TxnError::Aborted(_)) => {
+                    Err(TxnError::Aborted(reason)) => {
+                        if reason.is_transient() {
+                            transient = true;
+                        } else {
+                            stuck.get_or_insert(*reason);
+                        }
                         aborts += 1;
                         results[i] = None;
                         next.push(i);
@@ -311,7 +323,13 @@ impl Coordinator {
                     Ok(_) => {}
                 }
             }
-            width = if next.len() == todo.len() { 1 } else { self.ctx.config.inflight_txns };
+            let progressed = next.len() < todo.len();
+            if !progressed && !transient && (width == 1 || !supported) {
+                if let Some(reason) = stuck {
+                    return Err(TxnError::Aborted(reason));
+                }
+            }
+            width = if progressed { self.ctx.config.inflight_txns } else { 1 };
             todo = next;
         }
         let outcomes = results
@@ -341,10 +359,12 @@ impl Coordinator {
             && !c.stall_on_conflict
     }
 
-    /// Run one request as a [`crate::txn::Txn`] (the fallback for
-    /// unsupported configurations and oversized transactions): the same
-    /// declared list through the same execute phase, blocking.
-    fn run_classic(&mut self, req: &TxnRequest) -> Result<TxnOutcome, TxnError> {
+    /// Run one request once as a [`crate::txn::Txn`] — the same declared
+    /// list through the same execute phase, blocking; no retry, an abort
+    /// surfaces. What [`Coordinator::run_interleaved`] falls back to for
+    /// unsupported configurations and oversized transactions, and what a
+    /// workload's `execute` is when its mix declares.
+    pub fn run_request(&mut self, req: &TxnRequest) -> Result<TxnOutcome, TxnError> {
         let ops: Vec<Op<'_>> = req.ops.iter().map(TxnOp::as_op).collect();
         let mut txn = self.begin();
         let mut reads = Vec::with_capacity(ops.len());
@@ -393,7 +413,7 @@ impl Coordinator {
                         }
                         queue.pop_front();
                         self.ctx.pause.exit_txn(&self.gate);
-                        let r = self.run_classic(&reqs[idx]);
+                        let r = self.run_request(&reqs[idx]);
                         let solo_crashed = matches!(r, Err(TxnError::Crashed));
                         results[idx] = Some(r);
                         if solo_crashed {

@@ -86,6 +86,34 @@ impl AbortReason {
         self as usize
     }
 
+    /// Can the *same* transaction commit on a later attempt with no one
+    /// else changing the data it names? Conflicts, validation failures,
+    /// pauses and exhausted verb budgets pass on their own; an absent or
+    /// already-live key, a full bucket, a reserved key and the client's
+    /// own roll-back repeat on every attempt, so retry loops
+    /// ([`Coordinator::run`], [`Coordinator::run_interleaved_retrying`])
+    /// hand them back at once.
+    ///
+    /// `MemoryFailure` is transient: `memfail.rs` answers a dead node
+    /// under a world pause by publishing the new dead-node set, so the
+    /// attempt that raced the death (a validation READ or an apply that
+    /// reached no live replica) re-resolves its primaries from the
+    /// promoted backups next time; and the one lasting case — more than
+    /// f replicas of a bucket gone, `primary_of` finding none — lasts
+    /// only until `MemoryFailureHandler::rereplicate` marks a rebuilt
+    /// node live, which is a retry's to wait for, not the caller's to
+    /// treat as an answer about its keys.
+    pub const fn is_transient(self) -> bool {
+        !matches!(
+            self,
+            AbortReason::NotFound
+                | AbortReason::AlreadyExists
+                | AbortReason::BucketFull
+                | AbortReason::UserAbort
+                | AbortReason::InvalidKey
+        )
+    }
+
     pub const fn name(self) -> &'static str {
         match self {
             AbortReason::LockConflict => "LockConflict",

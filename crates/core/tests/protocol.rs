@@ -61,6 +61,30 @@ fn insert_existing_key_aborts() {
     let mut txn = co.begin();
     let err = txn.insert(KV, 3, &value_for(3, 9)).unwrap_err();
     assert_eq!(err, TxnError::Aborted(AbortReason::AlreadyExists));
+    drop(txn);
+
+    // An abort that would repeat on every attempt comes back from the
+    // retry loops too, width 1 and interleaved, beside a request that
+    // commits.
+    let exists = Err(TxnError::Aborted(AbortReason::AlreadyExists));
+    assert_eq!(co.run(|txn| txn.insert(KV, 3, &value_for(3, 9))).map(drop), exists);
+    let insert = || TxnRequest::new().insert(KV, 3, value_for(3, 9));
+    assert_eq!(co.run_interleaved_retrying(&[insert()]).map(drop), exists);
+    let slots = SimCluster::builder(ProtocolKind::Pandora)
+        .memory_nodes(3)
+        .replication(2)
+        .capacity_per_node(64 << 20)
+        .table(dkvs::TableDef::sized_for(0, "kv", common::VALUE_LEN, 128))
+        .max_coord_slots(64)
+        .config(SystemConfig::new(ProtocolKind::Pandora).with_inflight_txns(4))
+        .build()
+        .unwrap();
+    slots.bulk_load(KV, (0..10).map(|k| (k, value_for(k, 0)))).unwrap();
+    let (mut co, _lease) = slots.coordinator().unwrap();
+    let batch = [insert(), TxnRequest::new().write(KV, 4, value_for(4, 1))];
+    assert_eq!(co.run_interleaved_retrying(&batch).map(drop), exists);
+    assert_eq!(slots.peek(KV, 4), Some(value_for(4, 1)), "the sibling stays committed");
+    assert_eq!(slots.peek(KV, 3), Some(value_for(3, 0)));
 }
 
 #[test]

@@ -64,7 +64,7 @@ pub struct FaultInjector {
     /// 0 = BeforeOp, 1 = AfterOp, 2 = MidWrite.
     plan_mode: std::sync::atomic::AtomicU8,
     /// Tear placement for `MidWrite` crashes, in parts-per-1024 of the
-    /// torn payload (and of the entry list for batched writes).
+    /// torn payload.
     tear_pp1024: std::sync::atomic::AtomicU32,
 }
 

@@ -85,7 +85,7 @@ impl OpCounters {
 /// memory node, carrying the one-sided verbs.
 ///
 /// Verbs are *posted*: `post_read`/`post_write`/`post_cas`/`post_faa`/
-/// `post_write_batch`/`post_flush` return a [`WorkId`] immediately and
+/// `post_flush` return a [`WorkId`] immediately and
 /// the matching [`Completion`] is delivered later via [`QueuePair::poll`],
 /// [`QueuePair::wait_all`] or, by work id, [`QueuePair::wait`] and
 /// [`QueuePair::try_take`]. Every post:
@@ -545,52 +545,6 @@ impl QueuePair {
         self.write(addr, &value.to_le_bytes())
     }
 
-    /// Doorbell-batched WRITEs: all entries are posted with one doorbell
-    /// and charged one round trip (plus payload bytes); they execute in
-    /// order on the target. Real RNICs expose this as a work-request
-    /// chain — FORD uses it to coalesce the commit phase's writes.
-    ///
-    /// Crash semantics: `BeforeOp` drops the whole batch, `AfterOp` lands
-    /// the whole batch, `MidWrite` lands a prefix of the entries (and a
-    /// prefix of the entry it tears in, both placed by the injector's
-    /// tear point — midpoint by default).
-    pub fn post_write_batch(&self, writes: &[(u64, &[u8])]) -> RdmaResult<WorkId> {
-        let total: usize = writes.iter().map(|(_, d)| d.len()).sum();
-        self.post_with(VerbKind::Write, total, |action, verdict| {
-            if action == CrashAction::TearWrite {
-                let keep = writes.len() * self.injector.tear_point() as usize / 1024;
-                for (addr, data) in &writes[..keep] {
-                    self.node.copy_in_revocable(*addr, data, self.endpoint.0)?;
-                }
-                if let Some((addr, data)) = writes.get(keep) {
-                    let cut = self.tear_len(data.len());
-                    if cut > 0 {
-                        self.node.copy_in_revocable(*addr, &data[..cut], self.endpoint.0)?;
-                    }
-                }
-                return Err(RdmaError::Crashed);
-            }
-            // A doorbell chain drops or lands atomically here: either the
-            // whole chain was posted before the fault or none of it was.
-            self.chaos_pre(verdict)?;
-            for (addr, data) in writes {
-                self.node.copy_in_revocable(*addr, data, self.endpoint.0)?;
-            }
-            self.count_write(total as u64);
-            self.chaos_post(verdict)?;
-            if action == CrashAction::CrashAfter {
-                return Err(RdmaError::Crashed);
-            }
-            Ok((0, None))
-        })
-    }
-
-    /// Doorbell-batched WRITEs, blocking (post+wait).
-    pub fn write_batch(&self, writes: &[(u64, &[u8])]) -> RdmaResult<()> {
-        let id = self.post_write_batch(writes)?;
-        self.wait(id).result.map(|_| ())
-    }
-
     /// Post a one-sided compare-and-swap on an aligned u64 word. The
     /// completion's scalar result is the *previous* value, as RDMA
     /// atomics deliver it.
@@ -1031,26 +985,6 @@ mod tests {
             assert_eq!(obs.read_u64(0).unwrap(), expect, "tear point {pp}");
             assert_eq!(obs.read_u64(8).unwrap(), expect, "tear point {pp}");
         }
-    }
-
-    #[test]
-    fn batch_tear_point_moves_with_injector_setting() {
-        let payload = 0xABu64.to_le_bytes();
-        let writes_at = |pp: u32| -> Vec<u64> {
-            let f = Fabric::new(FabricConfig::default());
-            let inj = FaultInjector::new();
-            inj.set_tear_point(pp);
-            let qp = f.qp(f.register_endpoint(), NodeId(0), Arc::clone(&inj)).unwrap();
-            inj.arm(CrashPlan { at_op: 1, mode: CrashMode::MidWrite });
-            let batch: Vec<(u64, &[u8])> = (0..4u64).map(|i| (i * 8, payload.as_slice())).collect();
-            assert_eq!(qp.write_batch(&batch), Err(RdmaError::Crashed));
-            let obs = f.qp_admin(f.register_endpoint(), NodeId(0), FaultInjector::new()).unwrap();
-            (0..4u64).map(|i| obs.read_u64(i * 8).unwrap()).collect()
-        };
-        let word = u64::from_le_bytes(payload);
-        assert_eq!(writes_at(0), vec![0, 0, 0, 0], "first-entry tear");
-        assert_eq!(writes_at(512), vec![word, word, 0, 0], "historical midpoint");
-        assert_eq!(writes_at(1024), vec![word, word, word, word], "last-entry tear");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! experiments with 1 000 and 100 000 hot keys).
 
 use dkvs::{TableDef, TableId};
-use pandora::{Access, Coordinator, SimCluster, TxnError};
+use pandora::{Coordinator, SimCluster, TxnError};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -69,9 +69,7 @@ impl Workload for MicroBench {
     }
 
     fn request(&self, rng: &mut StdRng) -> Option<pandora::TxnRequest> {
-        // Same mix as `execute`, declared up front: counter increments
-        // become `Update` ops (the scheduler reads the old value under
-        // the lock and applies the closure).
+        // Draw distinct keys from the hot set.
         let mut keys = Vec::with_capacity(self.ops_per_txn);
         while keys.len() < self.ops_per_txn {
             let k = rng.random_range(0..self.hot_keys);
@@ -79,7 +77,13 @@ impl Workload for MicroBench {
                 keys.push(k);
             }
         }
+        // Acquire locks in a global order: with the stall path enabled,
+        // unordered acquisition deadlocks (t1 holds A wants B, t2 holds
+        // B wants A, both waiting).
         keys.sort_unstable();
+        // Counter increments are `Update` ops: the old value is read
+        // under the lock and the closure applied, so the whole key set
+        // executes in one round trip.
         let mut req = pandora::TxnRequest::new();
         for k in keys {
             if rng.random_bool(self.write_ratio) {
@@ -94,41 +98,11 @@ impl Workload for MicroBench {
     }
 
     fn execute(&self, co: &mut Coordinator, rng: &mut StdRng) -> Result<(), TxnError> {
-        // Draw distinct keys from the hot set.
-        let mut keys = Vec::with_capacity(self.ops_per_txn);
-        while keys.len() < self.ops_per_txn {
-            let k = rng.random_range(0..self.hot_keys);
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        // Acquire locks in a global order: with the stall path enabled,
-        // unordered acquisition deadlocks (t1 holds A wants B, t2 holds
-        // B wants A, both waiting).
-        keys.sort_unstable();
-        // The keys are known before the first verb: one `fetch` reads
-        // the read-only ones and lock-reads the rest in one round trip.
-        let rows: Vec<_> = keys
-            .iter()
-            .map(|&k| {
-                let write = rng.random_bool(self.write_ratio);
-                (MICRO_TABLE, k, if write { Access::ForUpdate } else { Access::Read })
-            })
-            .collect();
+        let req = self.request(rng).expect("every draw declares");
         loop {
-            let mut txn = co.begin();
-            let body = txn.fetch(&rows).and_then(|values| {
-                for (&(_, k, access), v) in rows.iter().zip(values) {
-                    let counter = decode_field(&v.expect("loaded key"));
-                    if access == Access::ForUpdate {
-                        txn.write(MICRO_TABLE, k, &encode_value(MICRO_VALUE_LEN, counter + 1))?;
-                    }
-                }
-                Ok(())
-            });
-            match body.and_then(|()| txn.commit()) {
+            match co.run_request(&req) {
                 Err(TxnError::Aborted(_)) if self.retry_until_commit => continue,
-                other => return other,
+                other => return other.map(drop),
             }
         }
     }

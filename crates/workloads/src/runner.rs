@@ -52,7 +52,9 @@ struct WorkerExit {
 }
 
 /// A fleet of coordinator workers executing a workload until stopped.
-pub struct WorkloadRunner<W: Workload> {
+/// `W` may be `dyn Workload`: a workload chosen at run time needs no
+/// wrapper type.
+pub struct WorkloadRunner<W: Workload + ?Sized> {
     cluster: Arc<SimCluster>,
     workload: Arc<W>,
     probe: Arc<ThroughputProbe>,
@@ -65,7 +67,7 @@ pub struct WorkloadRunner<W: Workload> {
     sched: Arc<SchedStats>,
 }
 
-impl<W: Workload> WorkloadRunner<W> {
+impl<W: Workload + ?Sized> WorkloadRunner<W> {
     /// Spawn `config.coordinators` workers running `workload`.
     pub fn spawn(
         cluster: Arc<SimCluster>,
@@ -328,7 +330,11 @@ impl<W: Workload> WorkloadRunner<W> {
 /// Draw a batch of declared requests for the interleaved scheduler.
 /// Returns `None` when the workload's current mix cannot be declared
 /// (the caller falls back to the classic one-at-a-time path).
-fn draw_batch<W: Workload>(workload: &W, rng: &mut StdRng, n: usize) -> Option<Vec<TxnRequest>> {
+fn draw_batch<W: Workload + ?Sized>(
+    workload: &W,
+    rng: &mut StdRng,
+    n: usize,
+) -> Option<Vec<TxnRequest>> {
     let mut batch = Vec::with_capacity(n);
     for _ in 0..n {
         batch.push(workload.request(rng)?);

@@ -5,7 +5,7 @@
 //! 2 %, DeleteCallForwarding 2 %.
 
 use dkvs::{TableDef, TableId};
-use pandora::{AbortReason, Coordinator, SimCluster, TxnError, TxnRequest};
+use pandora::{SimCluster, TxnRequest};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -93,30 +93,37 @@ impl Workload for Tatp {
     }
 
     /// Every draw of the mix declares: the keys depend on the draw
-    /// alone. Same generator calls, in the same order, as
-    /// [`Workload::execute`]; the one difference is UpdateSubscriberData's
-    /// special-facility row, which `execute` skips when absent and an
-    /// `Update` aborts on — both rows of every subscriber are loaded and
-    /// never deleted.
+    /// alone, so [`Workload::execute`] is the default. Standard TATP:
+    /// inserting an existing call-forwarding row, or deleting an absent
+    /// one, fails the transaction (an abort the caller counts).
+    /// UpdateSubscriberData's special-facility `Update` would abort on an
+    /// absent row — both rows of every subscriber are loaded and never
+    /// deleted.
     fn request(&self, rng: &mut StdRng) -> Option<TxnRequest> {
         let sub = rng.random_range(0..self.subscribers);
         let op = rng.random_range(0..100u32);
         let bump = |old: &[u8]| encode_value(TATP_VALUE_LEN, decode_field(old) + 1);
         let req = TxnRequest::new();
         Some(match op {
+            // GetSubscriberData (35%).
             0..=34 => req.read(SUBSCRIBER, sub),
+            // GetNewDestination (10%): sf + cf reads.
             35..=44 => {
                 let sf_type = rng.random_range(0..2u64);
                 req.read(SPECIAL_FACILITY, Self::sf_key(sub, sf_type))
                     .read(CALL_FORWARDING, Self::cf_key(sub, sf_type, 0))
                     .read(CALL_FORWARDING, Self::cf_key(sub, sf_type, 1))
             }
+            // GetAccessData (35%).
             45..=79 => req.read(ACCESS_INFO, Self::ai_key(sub, rng.random_range(0..2u64))),
+            // UpdateSubscriberData (2%): subscriber bit + sf data.
             80..=81 => {
                 let sf = Self::sf_key(sub, rng.random_range(0..2u64));
                 req.update(SUBSCRIBER, sub, bump).update(SPECIAL_FACILITY, sf, bump)
             }
+            // UpdateLocation (14%).
             82..=95 => req.update(SUBSCRIBER, sub, bump),
+            // InsertCallForwarding (2%).
             96..=97 => {
                 let key = Self::cf_key(sub, rng.random_range(0..2u64), rng.random_range(0..4u64));
                 req.read(SUBSCRIBER, sub).insert(
@@ -125,85 +132,19 @@ impl Workload for Tatp {
                     encode_value(TATP_VALUE_LEN, sub),
                 )
             }
+            // DeleteCallForwarding (2%).
             _ => {
                 let key = Self::cf_key(sub, rng.random_range(0..2u64), rng.random_range(0..4u64));
                 req.delete(CALL_FORWARDING, key)
             }
         })
     }
-
-    fn execute(&self, co: &mut Coordinator, rng: &mut StdRng) -> Result<(), TxnError> {
-        let sub = rng.random_range(0..self.subscribers);
-        let op = rng.random_range(0..100u32);
-        let mut txn = co.begin();
-        match op {
-            // GetSubscriberData (35%).
-            0..=34 => {
-                txn.read(SUBSCRIBER, sub)?.expect("subscriber exists");
-            }
-            // GetNewDestination (10%): sf + cf reads.
-            35..=44 => {
-                let sf_type = rng.random_range(0..2u64);
-                txn.read(SPECIAL_FACILITY, Self::sf_key(sub, sf_type))?;
-                for start in 0..2 {
-                    txn.read(CALL_FORWARDING, Self::cf_key(sub, sf_type, start))?;
-                }
-            }
-            // GetAccessData (35%).
-            45..=79 => {
-                let ai = rng.random_range(0..2u64);
-                txn.read(ACCESS_INFO, Self::ai_key(sub, ai))?;
-            }
-            // UpdateSubscriberData (2%): subscriber bit + sf data.
-            80..=81 => {
-                let v = txn.read_for_update(SUBSCRIBER, sub)?;
-                txn.write(SUBSCRIBER, sub, &encode_value(TATP_VALUE_LEN, decode_field(&v) + 1))?;
-                let sf = Self::sf_key(sub, rng.random_range(0..2u64));
-                // Absence is an answer here, not a `NotFound` abort: the
-                // row stays read-then-write.
-                if let Some(v) = txn.read(SPECIAL_FACILITY, sf)? {
-                    txn.write(
-                        SPECIAL_FACILITY,
-                        sf,
-                        &encode_value(TATP_VALUE_LEN, decode_field(&v) + 1),
-                    )?;
-                }
-            }
-            // UpdateLocation (14%).
-            82..=95 => {
-                let v = txn.read_for_update(SUBSCRIBER, sub)?;
-                txn.write(SUBSCRIBER, sub, &encode_value(TATP_VALUE_LEN, decode_field(&v) + 1))?;
-            }
-            // InsertCallForwarding (2%).
-            96..=97 => {
-                txn.read(SUBSCRIBER, sub)?.expect("subscriber");
-                let key = Self::cf_key(sub, rng.random_range(0..2u64), rng.random_range(0..4u64));
-                match txn.insert(CALL_FORWARDING, key, &encode_value(TATP_VALUE_LEN, sub)) {
-                    Ok(()) => {}
-                    // Standard TATP: inserting an existing CF row fails
-                    // the transaction (counted as an abort by the caller).
-                    Err(e @ TxnError::Aborted(AbortReason::AlreadyExists)) => return Err(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            // DeleteCallForwarding (2%).
-            _ => {
-                let key = Self::cf_key(sub, rng.random_range(0..2u64), rng.random_range(0..4u64));
-                match txn.delete(CALL_FORWARDING, key) {
-                    Ok(()) => {}
-                    Err(e @ TxnError::Aborted(AbortReason::NotFound)) => return Err(e),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        txn.commit()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pandora::ProtocolKind;
+    use pandora::{ProtocolKind, TxnError};
     use rand::SeedableRng;
 
     #[test]

@@ -71,29 +71,6 @@ impl Ycsb {
         frontier - 1 - back
     }
 
-    fn op_read(&self, co: &mut Coordinator, key: u64) -> Result<(), TxnError> {
-        let mut txn = co.begin();
-        txn.read(YCSB_TABLE, key)?;
-        txn.commit()
-    }
-
-    fn op_update(&self, co: &mut Coordinator, key: u64, stamp: u64) -> Result<(), TxnError> {
-        let mut txn = co.begin();
-        // YCSB updates are blind field writes; keys may be beyond the
-        // loaded range after D/E inserts, so tolerate NotFound upstream.
-        txn.write(YCSB_TABLE, key, &encode_value(YCSB_VALUE_LEN, stamp))?;
-        txn.commit()
-    }
-
-    fn op_rmw(&self, co: &mut Coordinator, key: u64) -> Result<(), TxnError> {
-        let mut txn = co.begin();
-        // An absent key (beyond the loaded range) aborts `NotFound`
-        // here, where read-then-write did at the write.
-        let counter = decode_field(&txn.read_for_update(YCSB_TABLE, key)?);
-        txn.write(YCSB_TABLE, key, &encode_value(YCSB_VALUE_LEN, counter + 1))?;
-        txn.commit()
-    }
-
     fn op_insert(&self, co: &mut Coordinator) -> Result<(), TxnError> {
         let key = self.next_insert.fetch_add(1, Ordering::Relaxed);
         let mut txn = co.begin();
@@ -170,48 +147,15 @@ impl Workload for Ycsb {
     }
 
     fn execute(&self, co: &mut Coordinator, rng: &mut StdRng) -> Result<(), TxnError> {
-        let p = rng.random_range(0..100u32);
-        match self.mix {
-            YcsbMix::A => {
-                let key = self.pick(rng);
-                if p < 50 {
-                    self.op_read(co, key)
-                } else {
-                    self.op_update(co, key, p as u64)
-                }
-            }
-            YcsbMix::B => {
-                let key = self.pick(rng);
-                if p < 95 {
-                    self.op_read(co, key)
-                } else {
-                    self.op_update(co, key, p as u64)
-                }
-            }
-            YcsbMix::C => self.op_read(co, self.pick(rng)),
-            YcsbMix::D => {
-                if p < 95 {
-                    self.op_read(co, self.read_latest(rng))
-                } else {
-                    self.op_insert(co)
-                }
-            }
-            YcsbMix::E => {
-                if p < 95 {
-                    let start = self.pick(rng);
-                    self.op_scan(co, rng, start)
-                } else {
-                    self.op_insert(co)
-                }
-            }
-            YcsbMix::F => {
-                let key = self.pick(rng);
-                if p < 50 {
-                    self.op_read(co, key)
-                } else {
-                    self.op_rmw(co, key)
-                }
-            }
+        if self.mix != YcsbMix::E {
+            let req = self.request(rng).expect("mixes A-D and F declare every draw");
+            return co.run_request(&req).map(drop);
+        }
+        if rng.random_range(0..100u32) < 95 {
+            let start = self.pick(rng);
+            self.op_scan(co, rng, start)
+        } else {
+            self.op_insert(co)
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The latency-hiding acceptance gate, as a deterministic test: at a
 //! 2 µs modeled RTT, a warm 4-write commit on the fan-out path must run
 //! at least 2x faster than the sequential baseline
-//! (`SystemConfig::without_pipeline()`). Debug builds are skipped — the
+//! (`pipeline_depth = 1`). Debug builds are skipped — the
 //! unoptimized software path costs more than the modeled RTT and the
 //! ratio measures the compiler, not the protocol; CI's bench-smoke job
 //! runs this in release alongside the criterion ablation.
@@ -54,7 +54,7 @@ fn commit_time(config: SystemConfig) -> Duration {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate needs an optimized build")]
 fn pipelined_commit_at_least_2x_faster_at_2us_rtt() {
-    let sequential = commit_time(SystemConfig::new(ProtocolKind::Pandora).without_pipeline());
+    let sequential = commit_time(SystemConfig::new(ProtocolKind::Pandora).with_pipeline_depth(1));
     let pipelined = commit_time(SystemConfig::new(ProtocolKind::Pandora));
     eprintln!("sequential {sequential:?}/txn, pipelined {pipelined:?}/txn");
     assert!(

@@ -384,8 +384,7 @@ fn variants(protocol: ProtocolKind) -> Vec<(String, SystemConfig)> {
     let base = SystemConfig::new(protocol);
     let mut v = vec![
         ("default".to_string(), base),
-        ("no-pipeline".to_string(), base.without_pipeline()),
-        ("doorbell".to_string(), base.with_doorbell_batching()),
+        ("no-pipeline".to_string(), base.with_pipeline_depth(1)),
         ("nvm".to_string(), base.with_persistence(pandora::config::PersistenceMode::NvmFlush)),
         ("stripes4".to_string(), base.with_qp_stripes(4)),
         ("depth2".to_string(), base.with_pipeline_depth(2)),
@@ -423,12 +422,6 @@ fn grid(protocol: ProtocolKind) {
             ("il2", base.with_inflight_txns(2)),
             ("il8-stripes4", base.with_inflight_txns(8).with_qp_stripes(4)),
             ("il4-depth2", base.with_inflight_txns(4).with_pipeline_depth(2)),
-            ("il8-nvm-doorbell", {
-                base.with_inflight_txns(8)
-                    .with_qp_stripes(2)
-                    .with_doorbell_batching()
-                    .with_persistence(pandora::config::PersistenceMode::NvmFlush)
-            }),
         ];
         for (name, config) in slots {
             let tag = format!("{protocol:?} {name}");
