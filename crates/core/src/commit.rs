@@ -1,6 +1,7 @@
-//! The commit pipeline: validate → undo-log → apply (primaries, then
-//! backups) → flush → ack → unlock, and the abort path (paper §2.3 for
-//! FORD, §3.1.5 for Pandora). One resumable machine, two drivers.
+//! The commit pipeline: validate → undo-log → apply (every live
+//! replica, one barrier) → flush → ack → unlock, and the abort path
+//! (paper §2.3 for FORD, §3.1.5 for Pandora). One resumable machine, two
+//! drivers.
 //!
 //! A [`Commit`] holds one transaction's read-set, write-set, held locks
 //! and log bookkeeping from its first operation on. After the execute
@@ -23,6 +24,16 @@
 //! every slot's machine with [`Commit::poll`] and settles whichever has
 //! ripened. Posted verbs take effect at post time, so both drivers put
 //! the same verbs on the wire in the same order.
+//!
+//! The blocking driver stops at the ack. The paper's commit is "apply
+//! to all replicas, ack, then unlock" (§2.3): the caller has its answer
+//! before the unlock's completions exist, and an unlock's effect is in
+//! memory as it posts. So the driver posts the Unlock phase where it
+//! always did and [`Commit::park`] leaves the posted items with the
+//! coordinator as a [`Parked`], whose completions
+//! [`Coordinator::reap`] collects behind the next transaction's execute
+//! barrier. A slot keeps polling its unlock: its lane truncation rides
+//! the same phase and the lane's next tenant must find it done.
 //!
 //! Protocols and bug reproductions differ at named phase boundaries
 //! only (see DESIGN.md §5): `covert_locks` in the validate check, the
@@ -55,9 +66,11 @@ pub(crate) enum Phase {
     Execute,
     Validate,
     Log,
-    ApplyPrimaries,
-    ApplyBackups,
+    /// Every live replica of every write-set entry, one barrier.
+    Apply,
     Flush,
+    /// Post-ack cleanup. A scheduler slot polls it; the blocking driver
+    /// posts it and parks its completions ([`Commit::park`]).
     Unlock,
     Done,
 }
@@ -131,6 +144,75 @@ impl Pend {
     }
 }
 
+/// The Unlock phase of a committed transaction, posted and not waited
+/// for (see [`Commit::park`]): its items, their verbs in flight, and
+/// what names the transaction now that it is gone.
+pub(crate) struct Parked {
+    txn_id: u64,
+    lock: LockWord,
+    items: Vec<Item>,
+    pending: Vec<Pend>,
+    /// What posting cost, when anyone is listening; the reap adds what
+    /// collecting costs.
+    spent: Option<Duration>,
+}
+
+impl Parked {
+    /// Completions not yet collected — room they hold in the lanes'
+    /// windows.
+    pub fn verbs(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Collect the completions and release again, owner-checked, where
+    /// one failed. Per work id: by now the lanes may carry a later
+    /// transaction's verbs, which a lane-wide barrier would deliver here
+    /// and drop. A power-cut coordinator collects nothing — recovery
+    /// owns its locks.
+    pub fn reap(mut self, co: &Coordinator) {
+        if co.injector.is_crashed() {
+            return;
+        }
+        let timed = self.spent.map(|spent| (spent, Instant::now()));
+        // Newest first: the wait for a lane's last verb delivers the
+        // lane, and the earlier ones are then at hand.
+        for p in self.pending.iter().rev() {
+            let c = co.stripe(p.node).lane(p.lane).wait(p.id);
+            self.items[p.item].record(c);
+        }
+        for it in self.items.iter().filter(|it| it.posted && it.failed) {
+            co.rerelease_lock_or_fence(
+                it.node,
+                it.addr + SlotLayout::LOCK_OFF,
+                self.lock,
+                self.txn_id,
+            );
+        }
+        if let Some((spent, t0)) = timed {
+            let unlock = spent + t0.elapsed();
+            observe_phase(co, co.flight.as_ref(), self.txn_id, TxnPhase::Unlock, unlock);
+        }
+    }
+}
+
+/// The one emit point for phase timing: `phase` of transaction `txn_id`
+/// took `d` and ends now — one observation in the `PhaseStats` histogram
+/// and a span on the flight track.
+fn observe_phase(
+    co: &Coordinator,
+    flight: Option<&FlightHandle>,
+    txn_id: u64,
+    phase: TxnPhase,
+    d: Duration,
+) {
+    if let Some(stats) = &co.phase_stats {
+        stats.record(phase, d);
+    }
+    if let Some(f) = flight {
+        f.ended(phase.name(), txn_id, d, true);
+    }
+}
+
 /// One transaction's commit state (see the module docs).
 pub(crate) struct Commit {
     pub txn_id: u64,
@@ -164,9 +246,7 @@ pub(crate) struct Commit {
     /// WRITE may have landed even when its completion failed, and
     /// truncating a region never written is a harmless zero-write.
     logged_nodes: Vec<NodeId>,
-    /// Backup-tier `(write-set index, node)` pairs, fixed together with
-    /// the primaries so both tiers see one dead-node snapshot.
-    backups: Vec<(usize, NodeId)>,
+    /// `(write-set index, node)` of every apply item that landed.
     landed: Vec<(usize, NodeId)>,
     /// True once the first replica write may have been issued: from
     /// then on errors leave locks and logs in place — a partial apply
@@ -200,7 +280,6 @@ impl Commit {
             pending: Vec::new(),
             log_bufs: Vec::new(),
             logged_nodes: Vec::new(),
-            backups: Vec::new(),
             landed: Vec::new(),
             apply_started: false,
             acked: false,
@@ -232,16 +311,9 @@ impl Commit {
         self.phase_t0 = co.phase_start();
     }
 
-    /// The one emit point for phase timing: `phase` took `d` and ends
-    /// now — one observation in the `PhaseStats` histogram and a flight
-    /// span on this transaction's track.
+    /// `phase` took `d` and ends now, on this transaction's track.
     pub fn record_phase(&self, co: &Coordinator, phase: TxnPhase, d: Duration) {
-        if let Some(stats) = &co.phase_stats {
-            stats.record(phase, d);
-        }
-        if let Some(f) = &self.flight {
-            f.ended(phase.name(), self.txn_id, d, true);
-        }
+        observe_phase(co, self.flight.as_ref(), self.txn_id, phase, d);
     }
 
     /// Stop the clock [`Commit::start_timer`] started, if it runs.
@@ -298,33 +370,26 @@ impl Commit {
                 }
             }
             Phase::Log => self.stage_log(co),
-            Phase::ApplyPrimaries => {
-                // Two tiers, two barriers: every entry's acting primary
-                // is written (and its completion collected) before any
-                // backup write posts.
+            Phase::Apply => {
+                // Acting primaries first, then the backups, under one
+                // dead-node snapshot: the post order the two-tier apply
+                // had, collected at one barrier. Recovery rolls forward
+                // iff every live replica moved past its pre-image, so
+                // nothing reads a primary-before-backup order.
                 self.apply_started = !self.write_set.is_empty();
                 let dead = co.ctx.dead_set();
-                self.backups.clear();
                 self.landed.clear();
-                for (i, w) in self.write_set.iter().enumerate() {
-                    let mut live = co
-                        .map()
-                        .replica_walk(w.table, w.slot.bucket)
-                        .filter(|&n| !dead.contains(n));
-                    if let Some(primary) = live.next() {
-                        self.items.push(Item::new(
-                            primary,
-                            co.slot_base(primary, w.slot),
-                            ItemKind::Apply(i),
-                        ));
+                // Of each entry's live replicas: the first, then the rest.
+                for (skip, take) in [(0, 1), (1, usize::MAX)] {
+                    for (i, w) in self.write_set.iter().enumerate() {
+                        let live = co
+                            .map()
+                            .replica_walk(w.table, w.slot.bucket)
+                            .filter(|&n| !dead.contains(n));
+                        self.items.extend(live.skip(skip).take(take).map(|node| {
+                            Item::new(node, co.slot_base(node, w.slot), ItemKind::Apply(i))
+                        }));
                     }
-                    self.backups.extend(live.map(|n| (i, n)));
-                }
-            }
-            Phase::ApplyBackups => {
-                for &(i, node) in &self.backups {
-                    let base = co.slot_base(node, self.write_set[i].slot);
-                    self.items.push(Item::new(node, base, ItemKind::Apply(i)));
                 }
             }
             Phase::Flush => {
@@ -530,6 +595,32 @@ impl Commit {
         progressed
     }
 
+    /// Blocking driver, Unlock phase posted: the caller has its ack and
+    /// an unlock takes effect as it posts, so nothing waits for the
+    /// completions — they are left with the coordinator, which collects
+    /// them behind the next transaction's execute barrier, ripe by then
+    /// ([`Coordinator::reap`]). Only completions are deferred: an item
+    /// that did not post is released here, as [`Commit::settle`] would.
+    pub fn park(&mut self, co: &mut Coordinator) {
+        debug_assert!(self.phase == Phase::Unlock && !self.shared_lanes);
+        for it in self.items.iter().filter(|it| !it.posted) {
+            let addr = it.addr + SlotLayout::LOCK_OFF;
+            co.release_lock_or_fence(it.node, addr, self.lock, self.txn_id);
+        }
+        self.phase = Phase::Done;
+        if self.pending.is_empty() {
+            return self.end_phase(co, TxnPhase::Unlock);
+        }
+        debug_assert!(co.parked.is_none(), "one transaction's unlock parks at a time");
+        co.parked = Some(Parked {
+            txn_id: self.txn_id,
+            lock: self.lock,
+            items: std::mem::take(&mut self.items),
+            pending: std::mem::take(&mut self.pending),
+            spent: self.phase_t0.take().map(|t0| t0.elapsed()),
+        });
+    }
+
     // -----------------------------------------------------------------
     // Settling
     // -----------------------------------------------------------------
@@ -554,7 +645,7 @@ impl Commit {
                 } else if co.ctx.config.bugs.lost_decision {
                     // Lost-decision bug: the log was written during
                     // execution, before the decision (paper §3.1.3).
-                    self.phase = Phase::ApplyPrimaries;
+                    self.phase = Phase::Apply;
                 } else {
                     // Logging only after validation (lost-decision fix).
                     self.phase = Phase::Log;
@@ -562,10 +653,9 @@ impl Commit {
             }
             Phase::Log => {
                 self.end_phase(co, TxnPhase::Log);
-                self.phase = Phase::ApplyPrimaries;
+                self.phase = Phase::Apply;
             }
-            Phase::ApplyPrimaries => self.phase = Phase::ApplyBackups,
-            Phase::ApplyBackups => {
+            Phase::Apply => {
                 // Memory-failure rule (paper §3.2.5): commit iff every
                 // entry reached at least one live replica.
                 for i in 0..self.write_set.len() {
@@ -692,7 +782,7 @@ impl Commit {
                             // transaction from its undo log — roll
                             // forward iff every live replica advanced,
                             // roll back otherwise.
-                            co.self_fence("self-fence-apply");
+                            co.self_fence("self-fence-apply", self.txn_id);
                             return Err(TxnError::Crashed);
                         }
                         Err(e) => return Err(TxnError::from_rdma(e)),
@@ -703,7 +793,7 @@ impl Commit {
                     Err(RdmaError::Timeout { .. }) => {
                         // Unflushed NVM mid-apply has the same shape as
                         // an unfinished apply: fail-stop, recovery redoes.
-                        co.self_fence("self-fence-flush");
+                        co.self_fence("self-fence-flush", self.txn_id);
                         return Err(TxnError::Crashed);
                     }
                     Err(e) => return Err(TxnError::from_rdma(e)),
@@ -714,7 +804,13 @@ impl Commit {
                 // fully applied during recovery and rolls forward as a
                 // no-op.
                 ItemKind::Unlock => {
-                    co.release_lock_or_fence(node, addr + SlotLayout::LOCK_OFF);
+                    let word = addr + SlotLayout::LOCK_OFF;
+                    if it.posted {
+                        // The posted WRITE may have landed.
+                        co.rerelease_lock_or_fence(node, word, self.lock, self.txn_id);
+                    } else {
+                        co.release_lock_or_fence(node, word, self.lock, self.txn_id);
+                    }
                     if co.injector.is_crashed() {
                         return Ok(());
                     }
@@ -866,7 +962,7 @@ impl Commit {
             }
         }
         if fence {
-            co.self_fence("self-fence-truncate");
+            co.self_fence("self-fence-truncate", self.txn_id);
         }
         safe
     }
@@ -876,7 +972,8 @@ impl Commit {
     fn release_held(&mut self, co: &Coordinator) {
         for sref in std::mem::take(&mut self.held) {
             if let Ok(primary) = co.primary_of(sref.table, sref.bucket) {
-                co.release_lock_or_fence(primary, co.lock_addr(primary, sref));
+                let addr = co.lock_addr(primary, sref);
+                co.release_lock_or_fence(primary, addr, self.lock, self.txn_id);
             }
         }
     }

@@ -10,6 +10,7 @@ use dkvs::hash::FxHashMap;
 use dkvs::{ClusterMap, LockWord, SlotImage, SlotLayout, SlotRef, TableId};
 use rdma_sim::{EndpointId, FaultInjector, NodeId, QpStripe, QueuePair, RdmaError, RdmaResult};
 
+use crate::commit::Parked;
 use crate::context::SharedContext;
 use crate::fd::{CoordinatorLease, FailureDetector};
 use crate::flight::{FlightHandle, FlightRecorder, Payload};
@@ -50,6 +51,10 @@ pub struct Coordinator {
     /// Interleaved-scheduler gauges (in-flight transactions, admissions),
     /// attached via [`Coordinator::with_sched_stats`].
     pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedStats>>,
+    /// The last committed transaction's Unlock phase, posted and not yet
+    /// collected (see [`crate::commit::Commit::park`]). One at a time:
+    /// whatever touches the lanes next calls [`Coordinator::reap`] first.
+    pub(crate) parked: Option<Parked>,
     pub stats: CoordStats,
 }
 
@@ -109,6 +114,7 @@ impl Coordinator {
             phase_stats: None,
             flight,
             sched: None,
+            parked: None,
             stats: CoordStats::default(),
         })
     }
@@ -330,36 +336,101 @@ impl Coordinator {
     /// site, then the last-N-spans post-mortem file (when a dump
     /// directory is configured). Called *before* the injector crash so
     /// the instant is the final event of this incarnation.
-    pub(crate) fn flight_fence(&self, reason: &'static str) {
+    fn flight_fence(&self, reason: &'static str, txn_id: u64) {
         if let Some(f) = &self.flight {
-            f.instant(reason, self.current_txn_id());
+            f.instant(reason, txn_id);
             f.recorder().auto_dump(reason);
         }
     }
 
     /// Fail-stop a *live* coordinator that can neither finish nor undo
-    /// what it started: the FD then declares it failed and recovery
-    /// resolves its locks and logs. `site` names the fence on the
-    /// flight timeline.
-    pub(crate) fn self_fence(&self, site: &'static str) {
+    /// what transaction `txn_id` started: the FD then declares it failed
+    /// and recovery resolves its locks and logs. `site` names the fence
+    /// on the flight timeline.
+    pub(crate) fn self_fence(&self, site: &'static str, txn_id: u64) {
         self.ctx.resilience.note_self_fence();
-        self.flight_fence(site);
+        self.flight_fence(site, txn_id);
         self.injector.crash_now();
     }
 
-    /// Release one lock word this coordinator owns, escalating through
-    /// the release-grade retry budget. A live coordinator that exhausts
-    /// even that budget self-fences: transient faults never leave a
-    /// live-owned stuck lock. Revocation and node death hand the lock's
-    /// fate to recovery without fencing (under revocation the
-    /// coordinator may still be alive and about to reincarnate).
-    pub(crate) fn release_lock_or_fence(&self, node: NodeId, addr: u64) {
-        match self.retry_release(|| self.qp(node).write_u64(addr, 0)) {
-            Ok(_) => {}
-            Err(RdmaError::Timeout { .. }) => self.self_fence("self-fence-unlock"),
-            // Crashed / AccessRevoked / NodeDead: recovery (or the dead
-            // node's absence) owns the lock word now.
-            Err(_) => {}
+    /// Release the lock word at `addr`, which transaction `txn_id` of
+    /// this coordinator holds as `word`, escalating through the
+    /// release-grade retry budget. The first issue is a WRITE of zero —
+    /// nobody else can hold a word we own. Once an attempt has timed
+    /// out it may have landed all the same (chaos's `LandAmbiguous`
+    /// loses only the completion), and by the time the back-off
+    /// re-issues it another coordinator may hold the lock: the re-issue
+    /// is owner-checked ([`Coordinator::rerelease_lock_or_fence`]), or
+    /// it would zero *that* lock and let a third transaction in beside
+    /// its owner. Anonymous words (FORD, Traditional, PILL off) name no
+    /// owner to check; there the retry stays blind.
+    ///
+    /// A live coordinator that exhausts even the escalated budget
+    /// self-fences: transient faults never leave a live-owned stuck
+    /// lock. Revocation and node death hand the lock's fate to recovery
+    /// without fencing (under revocation the coordinator may still be
+    /// alive and about to reincarnate).
+    pub(crate) fn release_lock_or_fence(
+        &self,
+        node: NodeId,
+        addr: u64,
+        word: LockWord,
+        txn_id: u64,
+    ) {
+        let release = || self.qp(node).write_u64(addr, 0);
+        if self.ctx.config.pill_active() {
+            if let Err(RdmaError::Timeout { .. }) = release() {
+                self.rerelease_lock_or_fence(node, addr, word, txn_id);
+            }
+        } else if let Err(RdmaError::Timeout { .. }) = self.retry_release(release) {
+            self.self_fence("self-fence-unlock", txn_id);
+        }
+        // Crashed / AccessRevoked / NodeDead: recovery (or the dead
+        // node's absence) owns the lock word now.
+    }
+
+    /// Release a lock word after an attempt of unknown fate — a timed-out
+    /// WRITE, or a posted unlock whose completion failed. Under PILL
+    /// `word` is unique to one transaction of one incarnation, so a CAS
+    /// from it to zero releases the lock iff it is still ours, and an
+    /// ambiguous CAS is resolved by re-reading (as
+    /// `RecoveryCoordinator::release_cas_resolved` does): anything but
+    /// `word` means the slot is no longer ours to touch. An anonymous
+    /// word cannot tell our lock from a successor's, so the coordinator
+    /// fail-stops instead of writing blind, and recovery frees what is
+    /// left.
+    pub(crate) fn rerelease_lock_or_fence(
+        &self,
+        node: NodeId,
+        addr: u64,
+        word: LockWord,
+        txn_id: u64,
+    ) {
+        let released = self.ctx.config.pill_active().then(|| {
+            retry::cas_resolved(
+                &self.ctx.config.retry.escalated(),
+                Some(&self.ctx.resilience),
+                self.retry_salt(),
+                self.qp(node),
+                addr,
+                word.raw(),
+                0,
+                true,
+            )
+        });
+        if matches!(released, None | Some(Err(RdmaError::Timeout { .. }))) {
+            self.self_fence("self-fence-unlock", txn_id);
+        }
+    }
+
+    /// Collect the parked unlock's completions, if one is parked. Called
+    /// by whatever is about to use the lanes in a way that would take
+    /// them for its own — a commit phase's lane-wide barrier, the abort
+    /// path, the scheduler, a reincarnation's new queue pairs — and by
+    /// `Drop`.
+    pub(crate) fn reap(&mut self) {
+        if let Some(parked) = self.parked.take() {
+            parked.reap(self);
         }
     }
 
@@ -412,6 +483,8 @@ impl Coordinator {
     /// a new endpoint. Keeps the address cache (slot locations re-verify
     /// on use), stats, probes, and the — still live — fault injector.
     pub fn reincarnate(&mut self, fd: &FailureDetector) -> RdmaResult<CoordinatorLease> {
+        // The parked completions sit on the queue pairs about to go.
+        self.reap();
         let endpoint = self.ctx.fabric.register_endpoint();
         let lease = fd.register(endpoint);
         let width = self.ctx.config.qp_stripes.max(1);
@@ -539,6 +612,16 @@ impl Coordinator {
     /// the world-pause gate so recoveries never wait on a corpse.
     pub(crate) fn note_crashed(&self) {
         self.gate.mark_dead();
+    }
+}
+
+impl Drop for Coordinator {
+    /// A parked unlock whose completion failed has not released its
+    /// lock yet, and nobody else will.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.reap();
+        }
     }
 }
 

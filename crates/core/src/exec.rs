@@ -614,7 +614,7 @@ fn release(co: &Coordinator, c: &mut Commit, sref: SlotRef) {
         c.held.swap_remove(p);
     }
     if let Ok(primary) = co.primary_of(sref.table, sref.bucket) {
-        co.release_lock_or_fence(primary, co.lock_addr(primary, sref));
+        co.release_lock_or_fence(primary, co.lock_addr(primary, sref), c.lock, c.txn_id);
     }
 }
 

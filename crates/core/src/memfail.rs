@@ -6,8 +6,8 @@
 //!
 //! 1. Notify all compute servers (world pause; in-flight transactions
 //!    resolve themselves: a transaction that updated all *live* replicas
-//!    commits, the rest abort — the apply phases of the commit pipeline:
-//!    `crate::commit`, the `ApplyBackups` settle).
+//!    commits, the rest abort — the apply phase of the commit pipeline:
+//!    `crate::commit`, the `Apply` settle).
 //! 2. Each compute server deterministically recomputes primaries from
 //!    the dead-node set via consistent hashing (backup promotion,
 //!    [`dkvs::Placement::live_replicas`]).

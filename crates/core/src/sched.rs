@@ -391,6 +391,7 @@ impl Coordinator {
         slots.resize_with(max_slots, || None);
         let mut queue: VecDeque<usize> = idxs.iter().copied().collect();
         let mut crashed = false;
+        self.reap();
         self.ctx.pause.enter_txn(&self.gate);
         'event: loop {
             if self.injector.is_crashed() {
@@ -414,6 +415,7 @@ impl Coordinator {
                         queue.pop_front();
                         self.ctx.pause.exit_txn(&self.gate);
                         let r = self.run_request(&reqs[idx]);
+                        self.reap();
                         let solo_crashed = matches!(r, Err(TxnError::Crashed));
                         results[idx] = Some(r);
                         if solo_crashed {

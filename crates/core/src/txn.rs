@@ -13,9 +13,11 @@
 //!   (FORD's execution phase, paper §2.3), so a transaction whose keys
 //!   are known up front executes in one round trip.
 //! * **Validate → log → apply → ack → unlock, and abort** — the
-//!   pipeline of [`crate::commit`]. [`Txn::commit`] drives it to
-//!   completion with one completion barrier per phase; [`Txn::abort`],
-//!   a failed operation and `Drop` run its abort path.
+//!   pipeline of [`crate::commit`]. [`Txn::commit`] drives it with one
+//!   completion barrier per phase up to the ack, posts the unlocks and
+//!   returns — their completions are parked on the coordinator and
+//!   collected behind the next transaction's execute barrier;
+//!   [`Txn::abort`], a failed operation and `Drop` run its abort path.
 //!
 //! The interleaved scheduler ([`crate::sched`]) drives both halves of
 //! the same machine by polling; a `Txn` is that machine at width 1,
@@ -339,11 +341,21 @@ impl<'c> Txn<'c> {
         mut row: impl FnMut(usize, Option<Vec<u8>>),
     ) -> Result<(), TxnError> {
         let r = paused(self.co).and_then(|()| {
+            // The last commit's parked unlock completions hold window
+            // room. Where they and this list's verbs — a CAS and a READ
+            // a row at most — could fill a lane between them, they are
+            // collected first; otherwise behind this list's own barrier,
+            // when they have ripened.
+            let window = self.co.post_window();
+            if self.co.parked.as_ref().is_some_and(|p| p.verbs() + 2 * ops.len() > window) {
+                self.co.reap();
+            }
             self.x.begin(ops.len());
             for &op in ops {
                 self.x.post(self.co, &self.c, op);
             }
             self.x.wait(self.co);
+            self.co.reap();
             self.x.sweep(self.co, &mut self.c)?;
             for (i, &op) in ops.iter().enumerate() {
                 if i > 0 {
@@ -397,8 +409,9 @@ impl<'c> Txn<'c> {
     }
 
     /// Validate, log, apply, ack, unlock. `Ok(())` means the client
-    /// received a commit-ack (updates are applied on all live replicas);
-    /// `Err(Aborted)` means an abort-ack.
+    /// received a commit-ack (updates are applied on all live replicas;
+    /// the unlocks are posted, and so in effect, their completions still
+    /// to be collected); `Err(Aborted)` means an abort-ack.
     pub fn commit(mut self) -> Result<(), TxnError> {
         if self.done {
             // The txn already aborted through an earlier op error.
@@ -431,15 +444,22 @@ impl<'c> Txn<'c> {
     }
 
     /// The blocking driver: post a phase, take one completion barrier,
-    /// settle it, until the pipeline is done.
+    /// settle it, up to the ack; the Unlock phase is posted and parked.
     fn drive_commit(&mut self) -> Result<(), TxnError> {
         if self.co.injector().is_crashed() {
             return Err(TxnError::Crashed);
         }
+        self.co.reap();
         self.c.begin();
         while !self.c.done() {
             let phase = self.c.phase();
             self.c.post(self.co)?;
+            if phase == Phase::Unlock {
+                // The caller has its ack; the completions ride the
+                // next transaction's execute.
+                self.c.park(self.co);
+                break;
+            }
             self.c.wait(self.co);
             self.c.settle(self.co)?;
             if phase == Phase::Validate && self.co.ctx.config.bugs.relaxed_locks {
@@ -459,6 +479,7 @@ impl<'c> Txn<'c> {
     /// Abort: run the pipeline's abort path (truncate logs, release the
     /// held locks, ack) and close the transaction.
     fn abort_now(&mut self, reason: AbortReason) -> TxnError {
+        self.co.reap();
         let e = self.c.abort(self.co, reason);
         if e == TxnError::Crashed {
             self.co.note_crashed();
@@ -514,5 +535,149 @@ impl Drop for Txn<'_> {
         } else {
             let _ = self.abort_now(AbortReason::UserAbort);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use dkvs::{LockWord, TableDef};
+    use rdma_sim::ChaosConfig;
+
+    use super::*;
+    use crate::config::ProtocolKind;
+    use crate::sim::SimCluster;
+
+    const KV: TableId = TableId(0);
+    const KEY: u64 = 3;
+
+    /// Every verb times out ambiguously — landed or dropped, the seed
+    /// decides — while the model is enabled.
+    fn every_completion_lost(seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            seed,
+            p_timeout: 1.0,
+            p_ambiguous: 1.0,
+            p_flap: 0.0,
+            flap_ops: (1, 1),
+            p_delay_spike: 0.0,
+            delay_spike: Duration::ZERO,
+        }
+    }
+
+    fn cluster(protocol: ProtocolKind, seed: u64) -> SimCluster {
+        let cluster = SimCluster::builder(protocol)
+            .capacity_per_node(16 << 20)
+            .table(TableDef::sized_for(0, "kv", 8, 128))
+            .max_coord_slots(16)
+            .chaos(every_completion_lost(seed))
+            .build()
+            .expect("build cluster");
+        cluster
+            .bulk_load(KV, (0..16u64).map(|k| (k, k.to_le_bytes().to_vec())))
+            .expect("load");
+        cluster
+    }
+
+    fn lock_of(cluster: &SimCluster) -> LockWord {
+        cluster.raw_slot(KV, KEY, cluster.primary_node(KV, KEY)).expect("loaded key").0
+    }
+
+    /// Commit a write of `KEY` on `co`, the unlock — and nothing else —
+    /// posted with every completion lost. Returns the transaction's
+    /// lock word.
+    fn commit_with_a_lost_unlock(cluster: &SimCluster, co: &mut Coordinator) -> LockWord {
+        let chaos = cluster.chaos.as_ref().expect("chaos installed");
+        let mut txn = co.begin();
+        txn.write(KV, KEY, &7u64.to_le_bytes()).unwrap();
+        txn.c.begin();
+        while txn.c.phase() != Phase::Unlock {
+            txn.c.post(txn.co).unwrap();
+            txn.c.wait(txn.co);
+            txn.c.settle(txn.co).unwrap();
+        }
+        chaos.set_enabled(true);
+        txn.c.post(txn.co).unwrap();
+        chaos.set_enabled(false);
+        txn.c.park(txn.co);
+        txn.exit(true);
+        assert!(txn.co.parked.is_some(), "a posted unlock parks, whatever became of it");
+        txn.c.lock
+    }
+
+    #[test]
+    fn a_rereleased_unlock_leaves_a_successors_lock_alone() {
+        let cluster = cluster(ProtocolKind::Pandora, 0);
+        let (mut a, _lease_a) = cluster.coordinator().unwrap();
+        let (mut b, _lease_b) = cluster.coordinator().unwrap();
+        let node = cluster.primary_node(KV, KEY);
+        let mut ours = a.begin();
+        ours.read_for_update(KV, KEY).unwrap();
+        let (word, id) = (ours.c.lock, ours.c.txn_id);
+        assert_eq!(lock_of(&cluster), word);
+        // The unlock lands and its completion is lost; before the
+        // back-off re-issues it, the next transaction has the lock.
+        let addr = ours.co.lock_addr(node, ours.c.held.pop().expect("the lock is held"));
+        ours.co.qp(node).write_u64(addr, 0).unwrap();
+        let mut theirs = b.begin();
+        theirs.read_for_update(KV, KEY).unwrap();
+        let successor = lock_of(&cluster);
+        assert!(successor.is_locked() && successor != word);
+        ours.co.rerelease_lock_or_fence(node, addr, word, id);
+        assert_eq!(lock_of(&cluster), successor, "the re-issue zeroed a lock it does not own");
+        assert!(!ours.co.injector.is_crashed());
+        theirs.abort();
+        ours.abort();
+        // A word that is still ours is released.
+        let mut again = a.begin();
+        again.read_for_update(KV, KEY).unwrap();
+        let (word, id) = (again.c.lock, again.c.txn_id);
+        again.c.held.clear();
+        again.co.rerelease_lock_or_fence(node, addr, word, id);
+        assert!(!lock_of(&cluster).is_locked());
+    }
+
+    #[test]
+    fn a_parked_unlock_whose_completion_failed_is_released_owner_checked() {
+        let (mut landed, mut dropped) = (0, 0);
+        for seed in 0..16 {
+            let cluster = cluster(ProtocolKind::Pandora, seed);
+            let (mut a, _lease_a) = cluster.coordinator().unwrap();
+            let (mut b, _lease_b) = cluster.coordinator().unwrap();
+            let word = commit_with_a_lost_unlock(&cluster, &mut a);
+            if lock_of(&cluster) == word {
+                // Dropped on the way: the reap releases it.
+                dropped += 1;
+                a.reap();
+                assert!(!lock_of(&cluster).is_locked(), "seed {seed}: the lock leaked");
+            } else {
+                // Landed: the word is free, and taken again before the
+                // reap looks at the failed completion.
+                landed += 1;
+                let mut theirs = b.begin();
+                theirs.read_for_update(KV, KEY).unwrap();
+                let successor = lock_of(&cluster);
+                a.reap();
+                assert_eq!(lock_of(&cluster), successor, "seed {seed}: a successor's lock zeroed");
+            }
+            assert!(a.parked.is_none() && !a.injector.is_crashed());
+            assert_eq!(cluster.ctx.fabric.verb_stats().verbs_in_flight, 0);
+        }
+        assert!(landed > 0 && dropped > 0, "{landed} landed, {dropped} dropped");
+    }
+
+    #[test]
+    fn an_anonymous_parked_unlock_whose_completion_failed_fences() {
+        let cluster = cluster(ProtocolKind::Ford, 0);
+        let (mut a, _lease) = cluster.coordinator().unwrap();
+        commit_with_a_lost_unlock(&cluster, &mut a);
+        let before = lock_of(&cluster);
+        a.reap();
+        // No owner to check, so nothing is written: recovery frees what
+        // is left of a coordinator that stopped.
+        assert!(a.injector.is_crashed());
+        assert_eq!(lock_of(&cluster), before);
+        assert_eq!(cluster.ctx.resilience.snapshot().self_fenced, 1);
     }
 }

@@ -139,7 +139,7 @@ fn storm_and_audit(cluster: &Arc<SimCluster>, seed: u64) {
                 // Partition a random link for a bounded verb count.
                 chaos.partition(
                     rng.random_range(0..12u32),
-                    rng.random_range(0..3u16),
+                    rng.random_range(0..3u32) as u16,
                     rng.random_range(5..40u64),
                 );
             }

@@ -408,9 +408,11 @@ fn round_of_requests(co: &mut Coordinator, round: u64) -> u64 {
 }
 
 /// The same round one transaction, and one operation, at a time: each
-/// key read, then written — twelve barriers a transaction, the gate's
-/// baseline since it was set. (The width-1 request path posts its
-/// declared list whole and takes five; it is not one-at-a-time any more.)
+/// key read, then written — ten barriers a transaction (eight to
+/// execute, log, apply; twelve when the gate was set, before the apply
+/// tiers merged and the unlock stopped waiting). (The width-1 request
+/// path posts its declared list whole and takes three; it is not
+/// one-at-a-time any more.)
 fn round_of_serial_txns(co: &mut Coordinator, round: u64) -> u64 {
     for i in 0..PER_BATCH as u64 {
         let base = span_base(PER_BATCH, round, i);

@@ -3,12 +3,15 @@
 //! `Txn::fetch` posts the whole execute phase — a full-slot READ per
 //! read-only key, a lock CAS with the under-lock READ behind it per
 //! read-write key — and takes one completion barrier, so a warm
-//! transaction is five barriers: execute, log, apply primaries, apply
-//! backups, unlock (a write transaction's validate phase has nothing to
-//! read). Verb counts and barrier counts are deterministic for a given
-//! transaction; the counts are asserted on every run, the wall-clock half
-//! (barriers × a 1 ms modeled round trip) is given three tries, for a
-//! host that takes the core away mid-transaction. A cold key resolves
+//! transaction is three barriers to its caller: execute, log, apply (a
+//! write transaction's validate phase has nothing to read, and the
+//! unlocks are posted and left with the coordinator — their effect is
+//! immediate, their completions are collected behind the next
+//! transaction's execute barrier). Verb counts and barrier counts are
+//! deterministic for a given transaction; the counts are asserted on
+//! every run, the wall-clock half (barriers × a 1 ms modeled round trip)
+//! is given three tries, for a host that takes the core away
+//! mid-transaction. A cold key resolves
 //! first, so a cold transaction is the serial ladder — bucket READ, lock
 //! CAS, under-lock READ per key, in key order — verb for verb what
 //! read-then-write issued before `fetch` existed.
@@ -25,11 +28,20 @@ use rand::SeedableRng;
 use rdma_sim::{LatencyModel, NodeId};
 
 const RTT: Duration = Duration::from_millis(1);
-/// Execute, log, apply primaries, apply backups, unlock.
-const WARM_BARRIERS: u32 = 5;
+/// Execute, log, apply.
+const WARM_BARRIERS: u32 = 3;
 
 /// Three memory nodes, replication 2 (f+1 = 2 log copies), loaded.
 fn build(workload: &dyn Workload, rtt: Duration, flight: bool) -> SimCluster {
+    build_with(workload, rtt, flight, SystemConfig::new(ProtocolKind::Pandora))
+}
+
+fn build_with(
+    workload: &dyn Workload,
+    rtt: Duration,
+    flight: bool,
+    config: SystemConfig,
+) -> SimCluster {
     let mut b = with_tables(
         SimCluster::builder(ProtocolKind::Pandora)
             .memory_nodes(3)
@@ -37,7 +49,7 @@ fn build(workload: &dyn Workload, rtt: Duration, flight: bool) -> SimCluster {
             .capacity_per_node(16 << 20)
             .max_coord_slots(16)
             .latency(LatencyModel { rtt, ns_per_kib: 0 })
-            .config(SystemConfig::new(ProtocolKind::Pandora)),
+            .config(config),
         workload,
     );
     if flight {
@@ -67,15 +79,28 @@ fn counted(cluster: &SimCluster, f: impl FnOnce()) -> ((u64, u64, u64), Duration
 }
 
 /// `took` is `WARM_BARRIERS` round trips and change: never fewer (a
-/// barrier cannot beat the round trip), under six and a half on a quiet
+/// barrier cannot beat the round trip), under four and a half on a quiet
 /// host.
-fn five_round_trips(took: Duration) -> bool {
+fn three_round_trips(took: Duration) -> bool {
     assert!(took >= RTT * WARM_BARRIERS, "{took:?} beats {WARM_BARRIERS} round trips");
-    took < RTT * 13 / 2
+    took < RTT * 9 / 2
+}
+
+/// Verbs posted and not yet collected, fabric-wide.
+fn in_flight(cluster: &SimCluster) -> u64 {
+    cluster.ctx.fabric.verb_stats().verbs_in_flight
+}
+
+/// No key of the 64-key micro table is locked at its primary.
+fn unlocked(cluster: &SimCluster) -> bool {
+    (0..64).all(|k| {
+        let primary = cluster.primary_node(MICRO_TABLE, k);
+        !cluster.raw_slot(MICRO_TABLE, k, primary).unwrap().0.is_locked()
+    })
 }
 
 #[test]
-fn a_warm_four_rmw_transaction_is_thirty_verbs_in_five_barriers() {
+fn a_warm_four_rmw_transaction_is_thirty_verbs_in_three_barriers() {
     let bench = MicroBench::new(64, 1.0);
     let cluster = build(&bench, RTT, false);
     let (mut co, _lease) = cluster.coordinator().unwrap();
@@ -87,8 +112,12 @@ fn a_warm_four_rmw_transaction_is_thirty_verbs_in_five_barriers() {
         // 4 lock CASes, 4 under-lock READs; 2 log copies, value and
         // version on both replicas of 4 keys, 4 unlocks.
         assert_eq!(verbs, (4, 4, 22), "CAS / READ / WRITE of a warm 4-RMW transaction");
+        // The unlocks landed as they posted; only their completions are
+        // still out.
+        assert_eq!(in_flight(&cluster), 4, "four unlock completions ride the next execute");
+        assert!(unlocked(&cluster), "a key still locked when commit returned");
         took.push(t);
-        if five_round_trips(t) {
+        if three_round_trips(t) {
             return;
         }
     }
@@ -118,7 +147,7 @@ fn a_warm_amalgamate_locks_and_reads_three_rows_in_one_round_trip() {
         assert_eq!(verbs, (3, 3, 17), "CAS / READ / WRITE of a warm Amalgamate");
         took.push(t);
         seen += 1;
-        if five_round_trips(t) {
+        if three_round_trips(t) {
             return;
         }
         if seen == 3 {
@@ -162,10 +191,46 @@ fn a_cold_micro_transaction_resolves_locks_and_reads_key_by_key() {
             [("READ", primary, bucket), ("CAS", primary, 8), ("READ", primary, slot)]
         })
         .collect();
-    let posted = verbs_of(&cluster, co.endpoint().0);
+    // A verb's span fires when its completion is delivered: the four
+    // unlocks' are with the coordinator until something reaps it.
+    let endpoint = co.endpoint().0;
+    assert_eq!(verbs_of(&cluster, endpoint).len(), 12 + 18);
+    drop(co);
+    let posted = verbs_of(&cluster, endpoint);
     assert_eq!(posted.len(), 12 + 22, "execute verbs, then the commit's writes");
     assert_eq!(posted[..12], expected[..], "the execute phase of a cold transaction");
     assert!(posted[12..].iter().all(|&(name, _, _)| name == "WRITE"));
+}
+
+#[test]
+fn unlock_completions_are_parked_only_where_verbs_post() {
+    let bench = MicroBench::new(64, 1.0);
+    for (depth, slots, parked) in [(16, 1, 4), (1, 1, 0), (16, 8, 4)] {
+        let config = SystemConfig::new(ProtocolKind::Pandora)
+            .with_pipeline_depth(depth)
+            .with_inflight_txns(slots);
+        let cluster = build_with(&bench, Duration::ZERO, false, config);
+        let (mut co, _lease) = cluster.coordinator().unwrap();
+        warm(&mut co, &[MICRO_TABLE], 0..64);
+        let mut rng = StdRng::seed_from_u64(24);
+        bench.execute(&mut co, &mut rng).unwrap();
+        assert_eq!(in_flight(&cluster), parked, "after a commit at depth {depth}");
+        assert!(unlocked(&cluster), "depth {depth}: a lock outlived its commit");
+        // The next transaction's execute barrier collects them, and
+        // parks its own.
+        bench.execute(&mut co, &mut rng).unwrap();
+        assert_eq!(in_flight(&cluster), parked, "after the next commit at depth {depth}");
+        // So does whatever else uses the lanes next: the scheduler (its
+        // slots poll their own unlocks out; at one slot it is the
+        // blocking driver again), a drop.
+        let reqs: Vec<_> = (0..4).map(|_| bench.request(&mut rng).unwrap()).collect();
+        co.run_interleaved_retrying(&reqs).unwrap();
+        assert_eq!(in_flight(&cluster), if slots > 1 { 0 } else { parked });
+        bench.execute(&mut co, &mut rng).unwrap();
+        drop(co);
+        assert_eq!(in_flight(&cluster), 0, "a coordinator dropped after its commit, depth {depth}");
+        assert!(unlocked(&cluster));
+    }
 }
 
 #[test]

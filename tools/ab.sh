@@ -8,8 +8,9 @@
 # alternating parent/change pairs of `seconds` each (default:
 # BENCHMARK.json's run_seconds; anything shorter is a smoke run, not a
 # measurement), pair i on seed i, and prints for every end-to-end
-# metric each side's median and quartiles, the change's wins, and the
-# verdict by the rule of the choosing-metrics guide, section 8: a gain
+# metric each side's median and quartiles, every run's value in pair
+# order, the change's wins, and the verdict by the rule of the
+# choosing-metrics guide, section 8: a gain
 # needs wins in nine tenths of the pairs and medians further apart than
 # the parent's own inter-quartile distance.
 #
@@ -93,6 +94,8 @@ for m in bench["end_to_end"]:
     for s in ("parent", "change"):
         q1, med, q3 = stats[s]
         print(f"  {name:<18}{s:<8}{q1:>14.4f}{med:>14.4f}{q3:>14.4f}")
+    for s in ("parent", "change"):
+        print(f"  {'':<18}{s:<8}runs: " + " ".join(f"{v:.6g}" for v in vals[s]))
     better = lambda a, b: a > b if higher else a < b
     wins = sum(better(c, p) for p, c in zip(vals["parent"], vals["change"]))
     losses = sum(better(p, c) for p, c in zip(vals["parent"], vals["change"]))
