@@ -14,16 +14,20 @@
 //!   decides what verbs a phase issues and in what order.
 //! * [`Commit::settle`], called once every posted completion is in,
 //!   resolves each item in order — an item that could not be posted
-//!   (lane window full, `pipeline_depth <= 1`, synchronous post error)
-//!   or whose completion failed re-runs through the blocking retry
-//!   ladder of its kind — then moves to the next phase.
+//!   (`pipeline_depth <= 1`, synchronous post error) or whose
+//!   completion failed re-runs through the blocking retry ladder of its
+//!   kind — then moves to the next phase.
 //!
 //! Between the halves the driver collects completions: the blocking
 //! [`crate::txn::Txn`] driver takes one barrier per phase with
 //! [`Commit::wait`]; the interleaved scheduler ([`crate::sched`]) polls
 //! every slot's machine with [`Commit::poll`] and settles whichever has
 //! ripened. Posted verbs take effect at post time, so both drivers put
-//! the same verbs on the wire in the same order.
+//! the same verbs on the wire in the same order. An item whose lane
+//! window is full waits for the phase's next wave ([`Commit::repost`]),
+//! posted once the lanes have drained: a phase of `v` verbs on a lane
+//! of window `w` is `ceil(v / w)` barriers — one, at the default depth
+//! of 16, while no node holds replicas of more than eight entries.
 //!
 //! The blocking driver stops at the ack. The paper's commit is "apply
 //! to all replicas, ack, then unlock" (§2.3): the caller has its answer
@@ -33,7 +37,9 @@
 //! coordinator as a [`Parked`], whose completions
 //! [`Coordinator::reap`] collects behind the next transaction's execute
 //! barrier. A slot keeps polling its unlock: its lane truncation rides
-//! the same phase and the lane's next tenant must find it done.
+//! the same phase and the lane's next tenant must find it done. So
+//! does a transaction whose lock word is anonymous keep its barrier: a
+//! late re-release needs an owner to check.
 //!
 //! Protocols and bug reproductions differ at named phase boundaries
 //! only (see DESIGN.md §5): `covert_locks` in the validate check, the
@@ -102,6 +108,9 @@ struct Item {
     node: NodeId,
     addr: u64,
     kind: ItemKind,
+    /// Not attempted yet: staged, or kept back by a full lane window
+    /// for the next wave ([`Commit::repost`]).
+    waiting: bool,
     /// Every verb of the item posted.
     posted: bool,
     /// A posted verb's completion failed.
@@ -112,7 +121,7 @@ struct Item {
 
 impl Item {
     fn new(node: NodeId, addr: u64, kind: ItemKind) -> Item {
-        Item { node, addr, kind, posted: false, failed: false, data: None }
+        Item { node, addr, kind, waiting: true, posted: false, failed: false, data: None }
     }
 
     fn record(&mut self, c: Completion) {
@@ -158,12 +167,6 @@ pub(crate) struct Parked {
 }
 
 impl Parked {
-    /// Completions not yet collected — room they hold in the lanes'
-    /// windows.
-    pub fn verbs(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Collect the completions and release again, owner-checked, where
     /// one failed. Per work id: by now the lanes may carry a later
     /// transaction's verbs, which a lane-wide barrier would deliver here
@@ -499,13 +502,14 @@ impl Commit {
         self.logged_nodes.extend(self.items.iter().map(|it| it.node));
     }
 
-    /// Post every staged item whose lane has room; the rest (and every
-    /// item when posting is off) stay for the blocking path in
-    /// [`Commit::settle`]. An item's verbs post together on one lane.
+    /// Post every waiting item whose lane has room. The rest keep
+    /// waiting — for the next wave ([`Commit::repost`]), or, when posting
+    /// is off, for the blocking path in [`Commit::settle`]. An item's
+    /// verbs post together on one lane.
     fn post_items(&mut self, co: &Coordinator) {
         let window = co.post_window();
         let Commit { items, pending, write_set, log_bufs, .. } = self;
-        for (k, it) in items.iter_mut().enumerate() {
+        for (k, it) in items.iter_mut().enumerate().filter(|(_, it)| it.waiting) {
             let (node, base) = (it.node, it.addr);
             let stripe = co.stripe(node);
             let lane = stripe.lane_for(base);
@@ -513,6 +517,7 @@ impl Commit {
             if qp.in_flight() >= window {
                 continue;
             }
+            it.waiting = false;
             // A post error may leave the item's earlier verbs in flight;
             // they are listed anyway so the driver accounts for them.
             let mut sent = |id: WorkId| pending.push(Pend { node, lane, id, item: k });
@@ -551,9 +556,33 @@ impl Commit {
     // Collecting completions: the two drivers
     // -----------------------------------------------------------------
 
+    /// With nothing in flight: post the next wave — the items a full
+    /// lane window kept back. A phase wider than its lanes' windows so
+    /// costs one barrier per windowful, not a blocking round trip per
+    /// item. Returns whether anything posted; what still waits then
+    /// (posting off, or a lane full of a sibling slot's verbs) is left
+    /// to [`Commit::settle`]'s blocking ladder.
+    pub fn repost(&mut self, co: &Coordinator) -> bool {
+        debug_assert!(self.pending.is_empty(), "a wave posts behind the last one's barrier");
+        if co.post_window() == 0 || !self.items.iter().any(|it| it.waiting) {
+            return false;
+        }
+        self.post_items(co);
+        !self.pending.is_empty()
+    }
+
     /// Blocking driver: one completion barrier over every lane the
-    /// phase posted on.
+    /// phase posted on, and one more per further wave.
     pub fn wait(&mut self, co: &Coordinator) {
+        loop {
+            self.barrier(co);
+            if !self.repost(co) {
+                return;
+            }
+        }
+    }
+
+    fn barrier(&mut self, co: &Coordinator) {
         let Commit { items, pending, .. } = self;
         while let Some(&Pend { node, lane, .. }) = pending.first() {
             for c in co.stripe(node).lane(lane).wait_all() {
@@ -601,15 +630,27 @@ impl Commit {
     /// them behind the next transaction's execute barrier, ripe by then
     /// ([`Coordinator::reap`]). Only completions are deferred: an item
     /// that did not post is released here, as [`Commit::settle`] would.
-    pub fn park(&mut self, co: &mut Coordinator) {
+    /// Returns `false`, nothing done, where the driver must wait and
+    /// settle this phase like any other: the unlocks are more than the
+    /// lanes' windows hold, so the waves need their barriers; or the lock
+    /// word is anonymous (FORD, Traditional, PILL off) — a failed unlock
+    /// found only after the coordinator has moved on could not be told
+    /// from a successor's lock, and fail-stopping over it costs a
+    /// coordinator per lost completion.
+    pub fn park(&mut self, co: &mut Coordinator) -> bool {
         debug_assert!(self.phase == Phase::Unlock && !self.shared_lanes);
+        let overflowed = co.post_window() > 0 && self.items.iter().any(|it| it.waiting);
+        if overflowed || !co.ctx.config.pill_active() {
+            return false;
+        }
         for it in self.items.iter().filter(|it| !it.posted) {
             let addr = it.addr + SlotLayout::LOCK_OFF;
             co.release_lock_or_fence(it.node, addr, self.lock, self.txn_id);
         }
         self.phase = Phase::Done;
         if self.pending.is_empty() {
-            return self.end_phase(co, TxnPhase::Unlock);
+            self.end_phase(co, TxnPhase::Unlock);
+            return true;
         }
         debug_assert!(co.parked.is_none(), "one transaction's unlock parks at a time");
         co.parked = Some(Parked {
@@ -619,6 +660,7 @@ impl Commit {
             pending: std::mem::take(&mut self.pending),
             spent: self.phase_t0.take().map(|t0| t0.elapsed()),
         });
+        true
     }
 
     // -----------------------------------------------------------------
@@ -805,8 +847,9 @@ impl Commit {
                 // no-op.
                 ItemKind::Unlock => {
                     let word = addr + SlotLayout::LOCK_OFF;
-                    if it.posted {
-                        // The posted WRITE may have landed.
+                    if it.posted && co.ctx.config.pill_active() {
+                        // The posted WRITE may have landed, and the word
+                        // names its owner: release it only if still ours.
                         co.rerelease_lock_or_fence(node, word, self.lock, self.txn_id);
                     } else {
                         co.release_lock_or_fence(node, word, self.lock, self.txn_id);

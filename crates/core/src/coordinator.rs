@@ -285,7 +285,14 @@ impl Coordinator {
     /// transaction, so concurrent retriers desynchronize deterministically.
     #[inline]
     pub(crate) fn retry_salt(&self) -> u64 {
-        ((self.coord_id as u64) << 32) ^ ((self.endpoint.0 as u64) << 8) ^ self.txn_seq
+        self.retry_salt_of(self.txn_seq)
+    }
+
+    /// The salt of transaction `seq` of this incarnation, for a retry
+    /// that runs after the coordinator has moved on.
+    #[inline]
+    fn retry_salt_of(&self, seq: u64) -> u64 {
+        ((self.coord_id as u64) << 32) ^ ((self.endpoint.0 as u64) << 8) ^ seq
     }
 
     /// Run an **idempotent** verb under the configured retry policy
@@ -301,27 +308,40 @@ impl Coordinator {
         self.spanned_retry(&self.ctx.config.retry.escalated(), f)
     }
 
-    /// Retry under `policy`, emitting a "retry" flight span covering the
-    /// whole loop when a verb actually re-issued (attempts > 1). The
-    /// individual verbs are already spanned at the fabric layer; this
-    /// span is the causal envelope naming the attempt count.
+    /// Retry under `policy` on behalf of the transaction being executed.
     fn spanned_retry<T>(
         &self,
         policy: &retry::RetryPolicy,
         f: impl FnMut() -> RdmaResult<T>,
     ) -> RdmaResult<T> {
+        let stats = Some(&*self.ctx.resilience);
+        self.retry_span(self.current_txn_id(), || {
+            retry::retry_op_counted(policy, stats, self.retry_salt(), f)
+        })
+    }
+
+    /// Run a retry loop of transaction `txn_id` — `f` returns its
+    /// result and how many attempts it issued — emitting a "retry"
+    /// flight span covering the whole loop when a verb actually
+    /// re-issued (attempts > 1). The individual verbs are already
+    /// spanned at the fabric layer; this span is the causal envelope
+    /// naming the attempt count.
+    fn retry_span<T>(
+        &self,
+        txn_id: u64,
+        f: impl FnOnce() -> (RdmaResult<T>, u32),
+    ) -> RdmaResult<T> {
         if !self.flight_on() {
-            return retry::retry_op(policy, Some(&self.ctx.resilience), self.retry_salt(), f);
+            return f().0;
         }
         let fl = self.flight.as_ref().expect("flight_on checked");
         let start_ns = fl.now_ns();
-        let (res, attempts) =
-            retry::retry_op_counted(policy, Some(&self.ctx.resilience), self.retry_salt(), f);
+        let (res, attempts) = f();
         if attempts > 1 {
             let end_ns = fl.now_ns();
             fl.span(
                 "retry",
-                self.current_txn_id(),
+                txn_id,
                 start_ns,
                 end_ns.saturating_sub(start_ns).max(1),
                 Payload::Attempts(attempts),
@@ -363,7 +383,8 @@ impl Coordinator {
     /// is owner-checked ([`Coordinator::rerelease_lock_or_fence`]), or
     /// it would zero *that* lock and let a third transaction in beside
     /// its owner. Anonymous words (FORD, Traditional, PILL off) name no
-    /// owner to check; there the retry stays blind.
+    /// owner to check; there the retry stays blind, here and for an
+    /// unlock posted and settled in place (`Commit::settle`).
     ///
     /// A live coordinator that exhausts even the escalated budget
     /// self-fences: transient faults never leave a live-owned stuck
@@ -389,16 +410,20 @@ impl Coordinator {
         // node's absence) owns the lock word now.
     }
 
-    /// Release a lock word after an attempt of unknown fate — a timed-out
-    /// WRITE, or a posted unlock whose completion failed. Under PILL
+    /// Release a PILL lock word after an attempt of unknown fate — a
+    /// timed-out WRITE, or a posted unlock whose completion failed.
     /// `word` is unique to one transaction of one incarnation, so a CAS
     /// from it to zero releases the lock iff it is still ours, and an
     /// ambiguous CAS is resolved by re-reading (as
     /// `RecoveryCoordinator::release_cas_resolved` does): anything but
     /// `word` means the slot is no longer ours to touch. An anonymous
-    /// word cannot tell our lock from a successor's, so the coordinator
-    /// fail-stops instead of writing blind, and recovery frees what is
-    /// left.
+    /// word cannot tell our lock from a successor's, which is why an
+    /// anonymous unlock is never parked (`Commit::park`) and retries
+    /// blind, in place ([`Coordinator::release_lock_or_fence`]).
+    ///
+    /// The coordinator may be executing a later transaction by now: the
+    /// back-off salt and the "retry" flight envelope are `txn_id`'s,
+    /// the transaction that took the lock.
     pub(crate) fn rerelease_lock_or_fence(
         &self,
         node: NodeId,
@@ -406,29 +431,39 @@ impl Coordinator {
         word: LockWord,
         txn_id: u64,
     ) {
-        let released = self.ctx.config.pill_active().then(|| {
-            retry::cas_resolved(
+        debug_assert!(self.ctx.config.pill_active(), "an anonymous word names no owner to check");
+        let released = self.retry_span(txn_id, || {
+            let cas = retry::cas_resolved(
                 &self.ctx.config.retry.escalated(),
                 Some(&self.ctx.resilience),
-                self.retry_salt(),
+                self.retry_salt_of(txn_id & ((1 << 48) - 1)),
                 self.qp(node),
                 addr,
                 word.raw(),
                 0,
                 true,
-            )
+            );
+            // The issue of unknown fate, and this one at least.
+            (cas, 2)
         });
-        if matches!(released, None | Some(Err(RdmaError::Timeout { .. }))) {
+        if let Err(RdmaError::Timeout { .. }) = released {
             self.self_fence("self-fence-unlock", txn_id);
         }
     }
 
-    /// Collect the parked unlock's completions, if one is parked. Called
-    /// by whatever is about to use the lanes in a way that would take
-    /// them for its own — a commit phase's lane-wide barrier, the abort
-    /// path, the scheduler, a reincarnation's new queue pairs — and by
-    /// `Drop`.
-    pub(crate) fn reap(&mut self) {
+    /// Collect the completions of the last commit's unlocks, if any are
+    /// still out ([`Txn::commit`] returns at the ack, the unlocks posted
+    /// and in effect), and release again — owner-checked — a lock whose
+    /// unlock turns out to have failed. The coordinator does this itself
+    /// behind the next transaction's execute barrier, before anything
+    /// else that uses its queue pairs (a commit phase's lane-wide
+    /// barrier, the abort path, the scheduler, a reincarnation) and when
+    /// dropped. That leaves one case to the caller: a coordinator kept
+    /// alive but *idle* after a commit holds any lock whose unlock was
+    /// lost on the wire until it is next used, and the failure detector,
+    /// seeing it alive, recovers nothing — call `reap` before parking a
+    /// coordinator. Blocks for what is left of one round trip.
+    pub fn reap(&mut self) {
         if let Some(parked) = self.parked.take() {
             parked.reap(self);
         }

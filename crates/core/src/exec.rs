@@ -151,7 +151,7 @@ impl Exec {
 
     /// Add `op` as the next plan row and post what it can have on the
     /// wire ahead of its ladder (see the module docs).
-    pub fn post(&mut self, co: &Coordinator, c: &Commit, op: Op<'_>) {
+    pub fn post(&mut self, co: &mut Coordinator, c: &Commit, op: Op<'_>) {
         let (table, key) = (op.table, op.key);
         let writes = !op.is_read();
         let item = self.plan.len();
@@ -160,22 +160,44 @@ impl Exec {
         let repeat = staged
             || self.plan.iter().any(earlier)
             || (!writes && c.read_set.iter().any(|r| r.table == table && r.key == key));
-        let posted = if repeat {
+        let target = if repeat {
             None
         } else if writes {
-            let t0 = co.phase_start();
-            let posted =
-                Exec::lock_ahead(co, op).and_then(|sref| self.post_lock(co, c, item, sref));
-            if posted.is_some() {
+            Exec::lock_ahead(co, op)
+        } else {
+            co.addr_cache.get(&(table, key)).copied()
+        };
+        let posted = target.and_then(|sref| {
+            let t0 = if writes { co.phase_start() } else { None };
+            let mut posted = self.post_row(co, c, item, sref, writes);
+            if posted.is_none() && co.parked.is_some() && Exec::route(co, sref).is_none() {
+                // The last commit's unlock completions hold the lane's
+                // room: with them collected the row posts exactly where
+                // it would with nothing parked.
+                co.reap();
+                posted = self.post_row(co, c, item, sref, writes);
+            }
+            if writes && posted.is_some() {
                 self.lock_t0 = self.lock_t0.or(t0);
             }
             posted
-        } else {
-            co.addr_cache
-                .get(&(table, key))
-                .and_then(|&sref| self.post_read(co, item, sref))
-        };
+        });
         self.plan.push(Plan { table, key, writes, posted });
+    }
+
+    fn post_row(
+        &mut self,
+        co: &Coordinator,
+        c: &Commit,
+        item: usize,
+        sref: SlotRef,
+        writes: bool,
+    ) -> Option<Posted> {
+        if writes {
+            self.post_lock(co, c, item, sref)
+        } else {
+            self.post_read(co, item, sref)
+        }
     }
 
     /// The slot whose lock `op` may take ahead of resolving: the one the

@@ -569,6 +569,10 @@ fn advance(co: &mut Coordinator, s: &mut SlotTxn, ops: &[TxnOp]) {
             s.c.end_phase(co, TxnPhase::Execute);
             s.c.begin();
         } else {
+            if s.c.repost(co) {
+                // The phase's next wave is out; nothing to settle yet.
+                return Ok(());
+            }
             s.c.settle(co)?;
             if s.c.acked() && s.result.is_none() {
                 s.result = Some(Ok(TxnOutcome { reads: std::mem::take(&mut s.reads_out) }));

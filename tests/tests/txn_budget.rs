@@ -205,10 +205,15 @@ fn a_cold_micro_transaction_resolves_locks_and_reads_key_by_key() {
 #[test]
 fn unlock_completions_are_parked_only_where_verbs_post() {
     let bench = MicroBench::new(64, 1.0);
-    for (depth, slots, parked) in [(16, 1, 4), (1, 1, 0), (16, 8, 4)] {
-        let config = SystemConfig::new(ProtocolKind::Pandora)
+    for (depth, slots, pill, parked) in
+        [(16, 1, true, 4), (1, 1, true, 0), (16, 8, true, 4), (16, 1, false, 0)]
+    {
+        let mut config = SystemConfig::new(ProtocolKind::Pandora)
             .with_pipeline_depth(depth)
             .with_inflight_txns(slots);
+        // An anonymous lock word names no owner to check a late
+        // re-release against: its unlock is waited for, as it was.
+        config.pill_enabled = pill;
         let cluster = build_with(&bench, Duration::ZERO, false, config);
         let (mut co, _lease) = cluster.coordinator().unwrap();
         warm(&mut co, &[MICRO_TABLE], 0..64);
@@ -233,50 +238,113 @@ fn unlock_completions_are_parked_only_where_verbs_post() {
     }
 }
 
-#[test]
-fn a_fetch_longer_than_the_lane_window_still_commits() {
-    const KV: TableId = TableId(0);
-    let value = |x: u64| {
-        let mut v = vec![0u8; 16];
-        v[..8].copy_from_slice(&x.to_le_bytes());
-        v
-    };
+const KV: TableId = TableId(0);
+
+fn kv_value(x: u64) -> Vec<u8> {
+    let mut v = vec![0u8; 16];
+    v[..8].copy_from_slice(&x.to_le_bytes());
+    v
+}
+
+/// 256 loaded keys of a 16-byte table on three nodes at the default
+/// depth: a lane window of 16 verbs, one lane a node.
+fn kv_cluster(rtt: Duration) -> SimCluster {
     let config = SystemConfig::new(ProtocolKind::Pandora);
     assert_eq!((config.pipeline_depth, config.qp_stripes), (16, 1));
     let cluster = SimCluster::builder(ProtocolKind::Pandora)
         .memory_nodes(3)
         .replication(2)
         .capacity_per_node(16 << 20)
-        .table(TableDef::sized_for(0, "kv", 16, 256))
+        .table(TableDef::sized_for(0, "kv", 16, 512))
         .max_coord_slots(16)
+        .latency(LatencyModel { rtt, ns_per_kib: 0 })
         .config(config)
         .build()
         .unwrap();
-    cluster.bulk_load(KV, (0..128).map(|k| (k, value(k)))).unwrap();
-    // Eleven keys on one primary: their lock CAS + READ pairs route to
-    // one lane, whose window of 16 holds eight rows' worth.
-    let node = cluster.replica_nodes(KV, 0)[0];
-    let keys: Vec<u64> =
-        (0..128).filter(|&k| cluster.replica_nodes(KV, k)[0] == node).take(11).collect();
-    assert_eq!(keys.len(), 11, "128 keys over 3 nodes");
-    let (mut co, _lease) = cluster.coordinator().unwrap();
-    warm(&mut co, &[KV], 0..128);
+    cluster.bulk_load(KV, (0..256).map(|k| (k, kv_value(k)))).unwrap();
+    cluster
+}
 
+/// The first `n` keys whose replicas, primary first, start with `nodes`.
+fn keys_on(cluster: &SimCluster, nodes: &[NodeId], n: usize) -> Vec<u64> {
+    let keys: Vec<u64> = (0..256)
+        .filter(|&k| cluster.replica_nodes(KV, k).starts_with(nodes))
+        .take(n)
+        .collect();
+    assert_eq!(keys.len(), n, "256 keys over 3 nodes");
+    keys
+}
+
+/// Lock, read and rewrite `keys` in one transaction.
+fn rewrite(co: &mut Coordinator, keys: &[u64]) {
     let rows: Vec<_> = keys.iter().map(|&k| (KV, k, Access::ForUpdate)).collect();
-    let (verbs, _) = counted(&cluster, || {
-        let mut txn = co.begin();
-        let values = txn.fetch(&rows).unwrap();
-        for (&k, v) in keys.iter().zip(values) {
-            assert_eq!(v, Some(value(k)), "key {k} under its lock");
-            txn.write(KV, k, &value(k + 1000)).unwrap();
+    let mut txn = co.begin();
+    let values = txn.fetch(&rows).unwrap();
+    for (&k, v) in keys.iter().zip(values) {
+        assert_eq!(v.map(|v| v[8..].to_vec()), Some(vec![0u8; 8]), "key {k} under its lock");
+        txn.write(KV, k, &kv_value(k + 1000)).unwrap();
+    }
+    txn.commit().unwrap();
+}
+
+#[test]
+fn a_phase_wider_than_the_lane_window_is_a_barrier_per_windowful() {
+    // A TPC-C NewOrder's worth: 24 entries, eight with their primary on
+    // each node. Execute fills each lane's window exactly (8 × CAS +
+    // READ), the unlocks half of it; every node also backs up eight, so
+    // the apply phase is 16 items a lane, two WRITEs each — two
+    // windowfuls: execute, log, apply, apply.
+    const BARRIERS: u32 = 4;
+    let cluster = kv_cluster(RTT);
+    let keys: Vec<u64> = (0..3)
+        .flat_map(|n| keys_on(&cluster, &[NodeId(n), NodeId((n + 1) % 3)], 8))
+        .collect();
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    warm(&mut co, &[KV], 0..256);
+    let mut took = Vec::new();
+    for round in 0..3 {
+        if round > 0 {
+            cluster.bulk_load(KV, keys.iter().map(|&k| (k, kv_value(k)))).unwrap();
         }
-        txn.commit().unwrap();
-    });
-    // The three overflow rows take the ladder — lock CAS and under-lock
+        let (verbs, t) = counted(&cluster, || rewrite(&mut co, &keys));
+        // 2 log copies, value and version on 48 replicas, 24 unlocks.
+        assert_eq!(verbs, (24, 24, 2 + 96 + 24));
+        assert_eq!(in_flight(&cluster), 24, "the unlocks fit their windows and are parked");
+        assert!(t >= RTT * BARRIERS, "{t:?} beats {BARRIERS} round trips");
+        took.push(t);
+        // The blocking ladder would be two round trips for each of the
+        // 24 items the first windowful leaves behind.
+        if t < RTT * (2 * BARRIERS + 3) / 2 {
+            return;
+        }
+    }
+    panic!("a 24-entry transaction took {took:?} at a {RTT:?} round trip");
+}
+
+#[test]
+fn a_fetch_longer_than_the_lane_window_still_commits() {
+    let cluster = kv_cluster(Duration::ZERO);
+    // Seventeen keys on one primary: their lock CAS + READ pairs route
+    // to one lane, whose window of 16 holds eight rows' worth, and not
+    // all seventeen unlocks.
+    let node = cluster.replica_nodes(KV, 0)[0];
+    let keys = keys_on(&cluster, &[node], 19);
+    let (first, keys) = keys.split_at(2);
+    let (mut co, _lease) = cluster.coordinator().unwrap();
+    warm(&mut co, &[KV], 0..256);
+    // Two unlock completions parked on that lane: the eighth row finds
+    // them filling the window, collects them and posts all the same.
+    rewrite(&mut co, first);
+    assert_eq!(in_flight(&cluster), 2);
+
+    let (verbs, _) = counted(&cluster, || rewrite(&mut co, keys));
+    // The nine overflow rows take the ladder — lock CAS and under-lock
     // READ on the lane the barrier has emptied — at no extra verb.
-    assert_eq!((verbs.0, verbs.1), (11, 11), "one CAS and one READ per row");
-    for &k in &keys {
-        assert_eq!(cluster.peek(KV, k), Some(value(k + 1000)));
+    assert_eq!(verbs, (17, 17, 2 + 68 + 17), "one CAS, one READ, one unlock per row");
+    // Unlocks in two waves have their barriers taken: nothing is parked.
+    assert_eq!(in_flight(&cluster), 0);
+    for &k in keys {
+        assert_eq!(cluster.peek(KV, k), Some(kv_value(k + 1000)));
         let (lock, _, _) = cluster.raw_slot(KV, k, node).unwrap();
         assert!(!lock.is_locked(), "residual lock on key {k}");
     }
